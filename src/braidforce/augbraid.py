@@ -149,7 +149,8 @@ def _delete_last_strand(w: BraidWord) -> BraidWord:
             out.append(letter - 1 if letter > 0 else letter + 1)
         else:
             out.append(letter)
-    assert pos == w.strands
+    if pos != w.strands:
+        raise AssertionError("the last strand does not return to its position")
     return BraidWord(w.strands - 1, tuple(out))
 
 
@@ -162,7 +163,7 @@ def u_equiv(a1: AugBraid, a2: AugBraid, bounds: SearchBounds = SearchBounds()) -
     if a1.punctures != a2.punctures:
         raise ValueError("puncture count mismatch")
     if not braid_eq(a1.base, a2.base):
-        return Decision.make_no(("base_mismatch",))
+        return Decision("no", None, ("base_mismatch",))
     ctx = TwistContext.create(artin(a1.base), bounds)
     return twisted_conj(ctx, a1.tail, a2.tail)
 

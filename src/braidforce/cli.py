@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .augbraid import AugBraid, format_aug, from_word, parse_aug
-from .braid import artin, braid_eq, format_braid, parse_braid, perm, power
-from .foxcalc import raw_trace
+from .braid import BraidWord, artin, braid_eq, format_braid, parse_braid, perm, power
 from .freegroup import FreeWord, endo_power, format_word, parse_word
 from .nielsen import (
     Decision,
@@ -20,7 +20,7 @@ from .nielsen import (
     TwistContext,
     degenerate_families,
     format_trace,
-    merge,
+    reidemeister_trace,
     twisted_conj,
 )
 from .forcing import forced_set, is_forced, report_json, report_text
@@ -34,24 +34,35 @@ def _json_safe(obj):
     return obj
 
 
-def _cert_str(cert: tuple) -> str:
-    return " ".join(str(_json_safe(x)) for x in cert)
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _decision_lines(d: Decision) -> list[str]:
-    lines = [f"verdict: {d.kind}"]
-    if d.witness is not None:
-        lines.append(f"witness: {format_word(d.witness)}")
-    if d.certificate:
-        lines.append(f"certificate: {_cert_str(d.certificate)}")
-    return lines
+def _bounds(args) -> SearchBounds:
+    return SearchBounds(args.radius, args.k_max)
 
 
-def _decision_exit(d: Decision) -> int:
+def _report_decision(args, beta: BraidWord, inputs: dict, d: Decision) -> int:
+    """Print a decision, as JSON after the query's inputs or as text; return the exit code."""
+    if args.json:
+        _emit(
+            {
+                "n": args.strands,
+                "m": args.m,
+                "braid": format_braid(beta),
+                **inputs,
+                "bounds": asdict(_bounds(args)),
+                "verdict": d.kind,
+                "witness": _json_safe(d.witness),
+                "certificate": _json_safe(d.certificate),
+            }
+        )
+    else:
+        print(f"verdict: {d.kind}")
+        if d.witness is not None:
+            print(f"witness: {format_word(d.witness)}")
+        if d.certificate:
+            print("certificate: " + " ".join(str(_json_safe(x)) for x in d.certificate))
     return 1 if d.is_unknown else 0
 
 
@@ -136,10 +147,8 @@ def _cmd_perm(args) -> int:
 
 def _cmd_trace(args) -> int:
     beta = parse_braid(args.braid, args.strands)
-    bounds = SearchBounds(args.radius, args.k_max)
-    theta = endo_power(artin(beta), args.m)
-    ctx = TwistContext.create(theta, bounds)
-    trace = merge(ctx, raw_trace(theta))
+    bounds = _bounds(args)
+    trace = reidemeister_trace(beta, args.m, bounds)
     exact = not trace.unresolved
     if args.json:
         _emit(
@@ -147,7 +156,7 @@ def _cmd_trace(args) -> int:
                 "n": args.strands,
                 "m": args.m,
                 "braid": format_braid(beta),
-                "bounds": {"radius": bounds.radius, "k_max": bounds.k_max},
+                "bounds": asdict(bounds),
                 "trace": format_trace(trace),
                 "summands": [
                     {"coefficient": s.coefficient, "representative": format_word(s.representative)}
@@ -166,8 +175,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_forced(args) -> int:
     beta = parse_braid(args.braid, args.strands)
-    bounds = SearchBounds(args.radius, args.k_max)
-    report = forced_set(beta, args.m, bounds, args.boundary_fixed, args.permissive)
+    report = forced_set(beta, args.m, _bounds(args), args.boundary_fixed, args.permissive)
     if args.json:
         _emit(report_json(report))
     else:
@@ -177,7 +185,6 @@ def _cmd_forced(args) -> int:
 
 def _cmd_is_forced(args) -> int:
     beta = parse_braid(args.braid, args.strands)
-    bounds = SearchBounds(args.radius, args.k_max)
     given = [x for x in (args.aug, args.word, args.cand) if x is not None]
     if len(given) != 1:
         raise ValueError("give the candidate exactly one way: --aug, --word, or --cand")
@@ -187,24 +194,9 @@ def _cmd_is_forced(args) -> int:
         cand = AugBraid(power(beta, args.m), parse_word(args.word, args.strands))
     else:
         cand = from_word(parse_braid(args.cand, args.strands + 1))
-    d = is_forced(cand, beta, args.m, bounds)
-    if args.json:
-        _emit(
-            {
-                "n": args.strands,
-                "m": args.m,
-                "braid": format_braid(beta),
-                "candidate": {"base": format_braid(cand.base), "tail": format_word(cand.tail)},
-                "bounds": {"radius": bounds.radius, "k_max": bounds.k_max},
-                "verdict": d.kind,
-                "witness": None if d.witness is None else format_word(d.witness),
-                "certificate": _json_safe(d.certificate),
-            }
-        )
-    else:
-        for line in _decision_lines(d):
-            print(line)
-    return _decision_exit(d)
+    d = is_forced(cand, beta, args.m, _bounds(args))
+    candidate = {"base": format_braid(cand.base), "tail": format_word(cand.tail)}
+    return _report_decision(args, beta, {"candidate": candidate}, d)
 
 
 def _cmd_degenerate(args) -> int:
@@ -244,30 +236,11 @@ def _cmd_twisted_conj(args) -> int:
     if len(args.word) != 2:
         raise ValueError("twisted-conj needs --word given exactly twice")
     beta = parse_braid(args.braid, args.strands)
-    bounds = SearchBounds(args.radius, args.k_max)
-    theta = endo_power(artin(beta), args.m)
-    ctx = TwistContext.create(theta, bounds)
+    ctx = TwistContext.create(endo_power(artin(beta), args.m), _bounds(args))
     u = parse_word(args.word[0], args.strands)
     v = parse_word(args.word[1], args.strands)
     d = twisted_conj(ctx, u, v)
-    if args.json:
-        _emit(
-            {
-                "n": args.strands,
-                "m": args.m,
-                "braid": format_braid(beta),
-                "u": format_word(u),
-                "v": format_word(v),
-                "bounds": {"radius": bounds.radius, "k_max": bounds.k_max},
-                "verdict": d.kind,
-                "witness": None if d.witness is None else format_word(d.witness),
-                "certificate": _json_safe(d.certificate),
-            }
-        )
-    else:
-        for line in _decision_lines(d):
-            print(line)
-    return _decision_exit(d)
+    return _report_decision(args, beta, {"u": format_word(u), "v": format_word(v)}, d)
 
 
 def _cmd_decompose(args) -> int:

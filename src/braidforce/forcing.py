@@ -10,22 +10,19 @@ answer, and renders the result as text or a JSON document.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .augbraid import AugBraid, format_aug, to_word
-from .braid import BraidWord, artin, braid_eq, format_braid, power
-from .foxcalc import raw_trace
-from .freegroup import FreeWord, endo_power, format_word
+from .braid import BraidWord, braid_eq, format_braid, power
+from .freegroup import FreeWord, format_word
 from .nielsen import (
     Decision,
     MergedTrace,
     SearchBounds,
-    TwistContext,
+    _analyse,
     abelian_invariant,
-    degenerate_families,
     format_trace,
     is_degenerate,
-    merge,
     twisted_conj,
 )
 
@@ -70,12 +67,7 @@ def forced_set(
     realized on the boundary.  exact is False whenever any Unknown decision
     could have changed the answer.
     """
-    if m < 1:
-        raise ValueError("iteration count m must be >= 1")
-    theta = endo_power(artin(beta), m)
-    ctx = TwistContext.create(theta, bounds)
-    trace = merge(ctx, raw_trace(theta))
-    families = degenerate_families(beta, m)
+    ctx, trace, families = _analyse(beta, m, bounds)
     base = power(beta, m)
     identity = FreeWord(beta.strands)
 
@@ -116,11 +108,8 @@ def is_forced(
     if m < 1:
         raise ValueError("iteration count m must be >= 1")
     if not braid_eq(candidate.base, power(beta, m)):
-        return Decision.make_no(("base_mismatch",))
-    theta = endo_power(artin(beta), m)
-    ctx = TwistContext.create(theta, bounds)
-    trace = merge(ctx, raw_trace(theta))
-    families = degenerate_families(beta, m)
+        return Decision("no", None, ("base_mismatch",))
+    ctx, trace, families = _analyse(beta, m, bounds)
     fuzzy = {w for pair in trace.unresolved for w in pair}
     saw_unknown = bool(trace.unresolved)
     for s in trace.summands:
@@ -131,16 +120,16 @@ def is_forced(
         if d.is_no:
             continue
         if any(member in fuzzy for member in s.members):
-            return Decision.make_unknown(("unresolved_class", s.representative))
+            return Decision("unknown", None, ("unresolved_class", s.representative))
         deg = is_degenerate(ctx, s.representative, families)
         if deg.is_yes:
-            return Decision.make_no(("degenerate_class", s.representative))
+            return Decision("no", None, ("degenerate_class", s.representative))
         if deg.is_unknown:
-            return Decision.make_unknown(("degeneracy_unknown", s.representative))
-        return Decision.make_yes(d.witness, ("class", s.representative))
+            return Decision("unknown", None, ("degeneracy_unknown", s.representative))
+        return Decision("yes", d.witness, ("class", s.representative))
     if saw_unknown:
-        return Decision.make_unknown(("radius", bounds.radius))
-    return Decision.make_no(("inessential",))
+        return Decision("unknown", None, ("radius", bounds.radius))
+    return Decision("no", None, ("inessential",))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +192,7 @@ def report_json(report: ForcingReport) -> dict:
         "m": report.m,
         "beta": format_braid(report.beta),
         "base_word": format_braid(report.base),
-        "bounds": {"radius": report.bounds.radius, "k_max": report.bounds.k_max},
+        "bounds": asdict(report.bounds),
         "boundary_fixed": report.boundary_fixed,
         "permissive": report.permissive,
         "trace": format_trace(report.trace),

@@ -14,16 +14,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
-def _reduce_letters(letters) -> tuple[int, ...]:
+def _reduce_letters(parts) -> tuple[int, ...]:
+    """Free reduction of the concatenation of the letter sequences in parts."""
     out: list[int] = []
-    for k in letters:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(k)
+    for part in parts:
+        for k in part:
+            if out and out[-1] == -k:
+                out.pop()
+            else:
+                out.append(k)
     return tuple(out)
+
+
+def _letters_key(letters: tuple[int, ...]):
+    """word_sort_key on a raw letter tuple."""
+    return (len(letters), tuple((abs(k), 0 if k > 0 else 1) for k in letters))
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ class FreeWord:
 
 def reduce(rank: int, letters) -> FreeWord:
     """Freely reduce a letter sequence into a FreeWord."""
-    return FreeWord(rank, _reduce_letters(letters))
+    return FreeWord(rank, _reduce_letters((letters,)))
 
 
 def gen(rank: int, k: int) -> FreeWord:
@@ -77,16 +85,10 @@ def concat(*words: FreeWord) -> FreeWord:
     if not words:
         raise ValueError("concat needs at least one word")
     rank = words[0].rank
-    out: list[int] = []
     for w in words:
         if w.rank != rank:
             raise ValueError(f"rank mismatch: {w.rank} != {rank}")
-        for k in w.letters:
-            if out and out[-1] == -k:
-                out.pop()
-            else:
-                out.append(k)
-    return FreeWord(rank, tuple(out))
+    return FreeWord(rank, _reduce_letters(w.letters for w in words))
 
 
 def invert(w: FreeWord) -> FreeWord:
@@ -128,7 +130,8 @@ def conjugator(w1: FreeWord, w2: FreeWord) -> FreeWord | None:
         if u[r:] + u[:r] == core2.letters:
             shift = FreeWord(w1.rank, u[r:]) if r else FreeWord(w1.rank)
             c = concat(c2, shift, invert(c1))
-            assert concat(c, w1, invert(c)) == w2
+            if concat(c, w1, invert(c)) != w2:
+                raise AssertionError("conjugator failed verification")
             return c
     return None
 
@@ -143,7 +146,7 @@ def abelianize(w: FreeWord) -> tuple[int, ...]:
 
 def word_sort_key(w: FreeWord):
     """Deterministic order: by length, then letter-wise with x_k before x_k^-1."""
-    return (len(w.letters), tuple((abs(k), 0 if k > 0 else 1) for k in w.letters))
+    return _letters_key(w.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +171,18 @@ class FreeEndo:
     def identity(cls, rank: int) -> FreeEndo:
         return cls(rank, tuple(FreeWord(rank, (i,)) for i in range(1, rank + 1)))
 
+    @cached_property
+    def _letter_images(self) -> tuple[tuple[int, ...], ...]:
+        """Image letters of every letter k, at index k: inverses sit at the negative indices."""
+        inverses = tuple(tuple(-j for j in reversed(img.letters)) for img in reversed(self.images))
+        return ((),) + tuple(img.letters for img in self.images) + inverses
+
 
 def apply(e: FreeEndo, w: FreeWord) -> FreeWord:
     """Image of w under e, freely reduced."""
     if w.rank != e.rank:
         raise ValueError("rank mismatch")
-    out: list[int] = []
-    for k in w.letters:
-        img = e.images[k - 1].letters if k > 0 else tuple(
-            -j for j in reversed(e.images[-k - 1].letters)
-        )
-        for l in img:
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return FreeWord(e.rank, tuple(out))
+    return FreeWord(e.rank, _reduce_letters(map(e._letter_images.__getitem__, w.letters)))
 
 
 def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:

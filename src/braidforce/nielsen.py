@@ -13,13 +13,15 @@ nonzero classes are the essential ones.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .braid import BraidWord, artin, perm, power
 from .foxcalc import GroupRingElem, raw_trace
 from .freegroup import (
     FreeEndo,
     FreeWord,
+    _letters_key,
+    _reduce_letters,
     abelianize,
     apply,
     concat,
@@ -60,18 +62,6 @@ class Decision:
         if self.kind not in ("yes", "no", "unknown"):
             raise ValueError(f"bad decision kind {self.kind!r}")
 
-    @classmethod
-    def make_yes(cls, witness: FreeWord, certificate: tuple = ()) -> Decision:
-        return cls("yes", witness, certificate)
-
-    @classmethod
-    def make_no(cls, certificate: tuple = ()) -> Decision:
-        return cls("no", None, certificate)
-
-    @classmethod
-    def make_unknown(cls, certificate: tuple = ()) -> Decision:
-        return cls("unknown", None, certificate)
-
     @property
     def is_yes(self) -> bool:
         return self.kind == "yes"
@@ -91,12 +81,11 @@ class TwistContext:
 
     theta: FreeEndo
     matrix: tuple[tuple[int, ...], ...]
-    radius: int = 5
-    k_max: int = 6
+    bounds: SearchBounds = SearchBounds()
 
     @classmethod
     def create(cls, theta: FreeEndo, bounds: SearchBounds = SearchBounds()) -> TwistContext:
-        return cls(theta, endo_matrix(theta), bounds.radius, bounds.k_max)
+        return cls(theta, endo_matrix(theta), bounds)
 
     @property
     def rank(self) -> int:
@@ -157,21 +146,6 @@ def abelian_invariant(ctx: TwistContext, w: FreeWord) -> tuple[int, ...]:
 # bounded orbit search
 
 
-def _cat(*parts) -> tuple[int, ...]:
-    out: list[int] = []
-    for p in parts:
-        for k in p:
-            if out and out[-1] == -k:
-                out.pop()
-            else:
-                out.append(k)
-    return tuple(out)
-
-
-def _key(letters: tuple[int, ...]):
-    return (len(letters), tuple((abs(k), 0 if k > 0 else 1) for k in letters))
-
-
 def _orbit(ctx: TwistContext, u: FreeWord, radius: int):
     """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples.
 
@@ -182,10 +156,7 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int):
     """
     n = ctx.rank
     letters = [k for i in range(1, n + 1) for k in (i, -i)]
-    timg = {}
-    for k in letters:
-        img = ctx.theta.images[abs(k) - 1].letters
-        timg[k] = img if k > 0 else tuple(-j for j in reversed(img))
+    timg = ctx.theta._letter_images
     u_letters = u.letters
     yield (), u_letters
     for depth in range(1, radius + 1):
@@ -197,9 +168,9 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int):
             for k in letters:
                 if alpha and alpha[-1] == -k:
                     continue
-                child = (alpha + (k,), _cat(th, timg[k]), (-k,) + inv_a)
+                child = (alpha + (k,), _reduce_letters((th, timg[k])), (-k,) + inv_a)
                 if len(child[0]) == depth:
-                    yield child[0], _cat(child[1], u_letters, child[2])
+                    yield child[0], _reduce_letters((child[1], u_letters, child[2]))
                 else:
                     children.append(child)
             stack.extend(reversed(children))
@@ -217,23 +188,22 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     iu = abelian_invariant(ctx, u)
     iv = abelian_invariant(ctx, v)
     if iu != iv:
-        return Decision.make_no(("abelian", iu, iv))
+        return Decision("no", None, ("abelian", iu, iv))
+    radius = ctx.bounds.radius
     target = v.letters
-    for alpha, cand in _orbit(ctx, u, ctx.radius):
+    for alpha, cand in _orbit(ctx, u, radius):
         if cand == target:
             witness = FreeWord(ctx.rank, alpha)
-            assert concat(apply(ctx.theta, witness), u, invert(witness)) == v
-            return Decision.make_yes(witness)
-    return Decision.make_unknown(("radius", ctx.radius))
+            if concat(apply(ctx.theta, witness), u, invert(witness)) != v:
+                raise AssertionError("twisted conjugacy witness failed verification")
+            return Decision("yes", witness)
+    return Decision("unknown", None, ("radius", radius))
 
 
 @functools.lru_cache(maxsize=8192)
 def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
-    best = w.letters
-    for _, cand in _orbit(ctx, w, ctx.radius):
-        if _key(cand) < _key(best):
-            best = cand
-    return FreeWord(ctx.rank, best)
+    # the orbit starts with w itself, and min keeps the first least word
+    return FreeWord(ctx.rank, min((cand for _, cand in _orbit(ctx, w, ctx.bounds.radius)), key=_letters_key))
 
 
 def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
@@ -327,15 +297,6 @@ def format_trace(mt: MergedTrace) -> str:
     return " ".join(parts)
 
 
-def reidemeister_trace(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> MergedTrace:
-    """Merged trace of the m-th iterate of the Artin action of beta."""
-    if m < 1:
-        raise ValueError("iteration count m must be >= 1")
-    theta = endo_power(artin(beta), m)
-    ctx = TwistContext.create(theta, bounds)
-    return merge(ctx, raw_trace(theta))
-
-
 # ---------------------------------------------------------------------------
 # degenerate classes: twisted classes carried by fixed strands
 
@@ -348,11 +309,19 @@ class DegenerateFamily:
     conj: FreeWord
 
 
-def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]:
-    """One family per strand fixed by the permutation of beta^m."""
+def _iterate(beta: BraidWord, m: int) -> FreeEndo:
+    """theta: the m-th iterate of the Artin action of beta."""
     if m < 1:
         raise ValueError("iteration count m must be >= 1")
-    theta = endo_power(artin(beta), m)
+    return endo_power(artin(beta), m)
+
+
+def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]:
+    """One family per strand fixed by the permutation of beta^m."""
+    return _families(beta, m, _iterate(beta, m))
+
+
+def _families(beta: BraidWord, m: int, theta: FreeEndo) -> tuple[DegenerateFamily, ...]:
     fams = []
     for i in perm(power(beta, m)).fixed_points():
         x_i = FreeWord(beta.strands, (i,))
@@ -369,44 +338,36 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
     The conjugating word of a fixed strand is only determined up to powers
     of that strand's generator, hence the bounded sweep over k.
     """
+    k_max = ctx.bounds.k_max
     saw_unknown = False
     ks = [0]
-    for k in range(1, ctx.k_max + 1):
+    for k in range(1, k_max + 1):
         ks.extend((k, -k))
     for fam in families:
         for k in ks:
             probe = concat(fam.conj, FreeWord(ctx.rank, (fam.strand if k > 0 else -fam.strand,) * abs(k)))
             d = twisted_conj(ctx, probe, gamma)
             if d.is_yes:
-                return Decision.make_yes(d.witness, ("family", fam.strand, k))
+                return Decision("yes", d.witness, ("family", fam.strand, k))
             if d.is_unknown:
                 saw_unknown = True
-    if saw_unknown:
-        return Decision.make_unknown(("families", ctx.k_max))
-    return Decision.make_no(("families", ctx.k_max))
+    return Decision("unknown" if saw_unknown else "no", None, ("families", k_max))
 
 
-@dataclass(frozen=True)
-class TraceClass:
-    """A merged trace class annotated with its degeneracy decision."""
-
-    coefficient: int
-    representative: FreeWord
-    degeneracy: Decision
-    members: tuple[FreeWord, ...] = field(default=(), compare=False)
+# ---------------------------------------------------------------------------
+# the forcing pipeline: Artin action, theta = its m-th iterate, Fox trace,
+# merge by twisted conjugacy, degenerate families
 
 
-def essential_nondegenerate(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> tuple[TraceClass, ...]:
-    """All essential classes of the m-th iterate, each with a degeneracy verdict.
-
-    Callers keep the classes with degeneracy No (strict) or not Yes
-    (permissive) depending on how they treat Unknown.
-    """
-    theta = endo_power(artin(beta), m)
+def _analyse(
+    beta: BraidWord, m: int, bounds: SearchBounds
+) -> tuple[TwistContext, MergedTrace, tuple[DegenerateFamily, ...]]:
+    """The forcing pipeline up to degeneracy: context, merged trace and families of theta."""
+    theta = _iterate(beta, m)
     ctx = TwistContext.create(theta, bounds)
-    trace = merge(ctx, raw_trace(theta))
-    fams = degenerate_families(beta, m)
-    return tuple(
-        TraceClass(s.coefficient, s.representative, is_degenerate(ctx, s.representative, fams), s.members)
-        for s in trace.summands
-    )
+    return ctx, merge(ctx, raw_trace(theta)), _families(beta, m, theta)
+
+
+def reidemeister_trace(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> MergedTrace:
+    """Merged trace of the m-th iterate of the Artin action of beta."""
+    return _analyse(beta, m, bounds)[1]

@@ -17,7 +17,7 @@ from braidforce import (
     concat,
     degenerate_families,
     endo_power,
-    essential_nondegenerate,
+    forced_set,
     format_trace,
     format_word,
     gen,
@@ -50,7 +50,7 @@ def test_bounds_and_decision_validation():
         SearchBounds(-1, 3)
     with pytest.raises(ValueError):
         Decision("maybe")
-    d = Decision.make_yes(gen(2, 1))
+    d = Decision("yes", gen(2, 1))
     assert d.is_yes and not d.is_no and not d.is_unknown
 
 
@@ -251,7 +251,7 @@ def test_is_degenerate_without_families():
 
 
 def test_essential_nondegenerate_sigma1():
-    classes = essential_nondegenerate(parse_braid("s1", 2), 1)
+    classes = forced_set(parse_braid("s1", 2), 1).classes
     assert len(classes) == 1
     c = classes[0]
     assert c.coefficient == 1
@@ -260,7 +260,7 @@ def test_essential_nondegenerate_sigma1():
 
 
 def test_essential_nondegenerate_full_twist():
-    classes = essential_nondegenerate(parse_braid("s1 s1", 2), 1)
+    classes = forced_set(parse_braid("s1 s1", 2), 1).classes
     assert len(classes) == 1
     assert format_word(classes[0].representative) == "x1 x2"
     assert classes[0].degeneracy.is_yes

@@ -1,0 +1,12 @@
+"""The README's library tour runs as a doctest."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_tour():
+    result = doctest.testfile(str(README), module_relative=False, report=True)
+    assert result.attempted > 0
+    assert result.failed == 0

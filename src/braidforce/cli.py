@@ -12,12 +12,13 @@ import sys
 from dataclasses import asdict
 
 from .augbraid import AugBraid, format_aug, from_word, parse_aug
-from .braid import BraidWord, artin, braid_eq, format_braid, parse_braid, perm, power
-from .freegroup import FreeWord, endo_power, format_word, parse_word
+from .braid import BraidWord, braid_eq, format_braid, parse_braid, perm, power
+from .freegroup import FreeWord, format_word, parse_word
 from .nielsen import (
     Decision,
     SearchBounds,
     TwistContext,
+    _iterate,
     degenerate_families,
     format_trace,
     reidemeister_trace,
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_action(args) -> int:
     beta = parse_braid(args.braid, args.strands)
-    theta = endo_power(artin(beta), args.m)
+    theta = _iterate(beta, args.m)
     images = [format_word(w) for w in theta.images]
     if args.json:
         _emit({"n": args.strands, "m": args.m, "braid": format_braid(beta), "images": images})
@@ -236,7 +237,7 @@ def _cmd_twisted_conj(args) -> int:
     if len(args.word) != 2:
         raise ValueError("twisted-conj needs --word given exactly twice")
     beta = parse_braid(args.braid, args.strands)
-    ctx = TwistContext.create(endo_power(artin(beta), args.m), _bounds(args))
+    ctx = TwistContext.create(_iterate(beta, args.m), _bounds(args))
     u = parse_word(args.word[0], args.strands)
     v = parse_word(args.word[1], args.strands)
     d = twisted_conj(ctx, u, v)

@@ -96,7 +96,7 @@ class TwistContext:
 # abelianized invariant: coset of the exponent vector modulo im(M - I)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _column_echelon(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Integer column echelon basis of the lattice spanned by columns of M - I."""
     n = len(matrix)
@@ -202,16 +202,27 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
 
 @functools.lru_cache(maxsize=8192)
 def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
-    # the orbit starts with w itself, and min keeps the first least word
-    return FreeWord(ctx.rank, min((cand for _, cand in _orbit(ctx, w, ctx.bounds.radius)), key=_letters_key))
+    # the orbit starts with w itself; only a strictly smaller key replaces the
+    # best word, so ties keep the first, and longer words are never keyed
+    best = w.letters
+    best_key = _letters_key(best)
+    for _, cand in _orbit(ctx, w, ctx.bounds.radius):
+        if len(cand) <= len(best):
+            key = _letters_key(cand)
+            if key < best_key:
+                best, best_key = cand, key
+    return FreeWord(ctx.rank, best)
 
 
 def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
-    """Least word found in the bounded twisted-conjugacy orbit of w.
+    """Least word, by word_sort_key, in the bounded twisted-conjugacy orbit of w.
 
-    This is a display normal form, not a complete invariant: words of the
-    same class always canonicalize consistently only when the search radius
-    reaches the connecting conjugator.
+    One streamed walk of the orbit (conjugators up to the search radius)
+    keeps the least word seen; only words no longer than the current best
+    are compared, and on a tie the first one found stays.  Results are
+    cached per context.  This is a display normal form, not a complete
+    invariant: words of the same class canonicalize consistently only when
+    the search radius reaches the connecting conjugator.
     """
     if w.rank != ctx.rank:
         raise ValueError("rank mismatch")
@@ -238,47 +249,90 @@ class MergedTrace:
     unresolved: tuple[tuple[FreeWord, FreeWord], ...] = ()
 
 
+class _Class:
+    """A twisted class under construction: its summands in merge order and their coefficient sum."""
+
+    __slots__ = ("members", "coeff")
+
+    def __init__(self, w: FreeWord, c: int) -> None:
+        self.members = [w]
+        self.coeff = c
+
+
+def _classes_hit(ctx: TwistContext, w: FreeWord, bucket: list[_Class], owner: dict) -> list[_Class]:
+    """The classes of w's bucket with a member theta(a) * w * a^-1, |a| <= radius, in bucket order.
+
+    By symmetry (v = theta(a) u a^-1 exactly when u = theta(a^-1) v a) these
+    are the classes for which twisted_conj(member, w) says yes.  owner maps
+    the letters of every member so far to its class; orbit words keep the
+    abelian invariant of w, so every class found is in the bucket.  One walk
+    of the orbit serves the whole bucket, it stops once every class is hit,
+    and each hit is verified by substitution.
+    """
+    hit: set[_Class] = set()
+    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius):
+        cl = owner.get(cand)
+        if cl is None:
+            continue
+        a = FreeWord(ctx.rank, alpha)
+        if concat(apply(ctx.theta, a), w, invert(a)).letters != cand:
+            raise AssertionError("twisted conjugacy witness failed verification")
+        hit.add(cl)
+        if len(hit) == len(bucket):
+            break
+    return [cl for cl in bucket if cl in hit]
+
+
 def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
     """Group the summands of a raw trace into twisted conjugacy classes.
 
-    Classes whose coefficients cancel are dropped.  Pairs of summands whose
-    comparison came back Unknown are left unmerged and reported, so the
-    result is only exact when unresolved is empty.
+    Summands are taken in order.  Classes are kept in buckets by abelian
+    invariant: a class in another bucket is certainly distinct, so it is
+    never searched.  When the summand's bucket is not empty, the bounded
+    orbit of the summand is walked once, streamed, and looked up member by
+    member; every hit is verified by substitution.  The summand joins the
+    first class hit and bridges any other class it hits into that one.  If
+    no class is hit, it starts a new class, and its pairs with the bucket's
+    classes are Unknown: they are reported as unresolved, so the result is
+    only exact when unresolved is empty.  Classes whose coefficients cancel
+    are dropped.
     """
     if raw.rank != ctx.rank:
         raise ValueError("rank mismatch")
-    classes: list[dict] = []
+    classes: list[_Class] = []
+    buckets: dict[tuple[int, ...], list[_Class]] = {}
+    owner: dict[tuple[int, ...], _Class] = {}
     unresolved: set[tuple[FreeWord, FreeWord]] = set()
     for w, c in raw.terms:
-        hits: list[int] = []
-        maybes: list[int] = []
-        for idx, cl in enumerate(classes):
-            verdicts = [twisted_conj(ctx, member, w) for member in cl["members"]]
-            if any(d.is_yes for d in verdicts):
-                hits.append(idx)
-            elif any(d.is_unknown for d in verdicts):
-                maybes.append(idx)
+        bucket = buckets.setdefault(abelian_invariant(ctx, w), [])
+        hits = _classes_hit(ctx, w, bucket, owner) if bucket else []
         if hits:
-            target = classes[hits[0]]
+            target = hits[0]
             # a summand matching several previously unmergeable classes
             # bridges them; union everything into the first
-            for idx in reversed(hits[1:]):
-                other = classes.pop(idx)
-                target["members"].extend(other["members"])
-                target["coeff"] += other["coeff"]
-            target["members"].append(w)
-            target["coeff"] += c
+            for other in reversed(hits[1:]):
+                classes.remove(other)
+                bucket.remove(other)
+                target.members.extend(other.members)
+                target.coeff += other.coeff
+                for member in other.members:
+                    owner[member.letters] = target
+            target.members.append(w)
+            target.coeff += c
         else:
-            for idx in maybes:
-                unresolved.add((classes[idx]["members"][0], w))
-            classes.append({"members": [w], "coeff": c})
+            for cl in bucket:
+                unresolved.add((cl.members[0], w))
+            target = _Class(w, c)
+            classes.append(target)
+            bucket.append(target)
+        owner[w.letters] = target
     summands = []
     for cl in classes:
-        if cl["coeff"] == 0:
+        if cl.coeff == 0:
             continue
-        members = tuple(sorted(cl["members"], key=word_sort_key))
+        members = tuple(sorted(cl.members, key=word_sort_key))
         rep = min((canonical_rep(ctx, m) for m in members), key=word_sort_key)
-        summands.append(TraceSummand(cl["coeff"], rep, members))
+        summands.append(TraceSummand(cl.coeff, rep, members))
     summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, word_sort_key(s.representative)))
     pairs = tuple(sorted(unresolved, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1]))))
     return MergedTrace(ctx.rank, tuple(summands), pairs)

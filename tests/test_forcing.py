@@ -295,6 +295,21 @@ def test_cli_twisted_conj_unknown_exit(capsys):
     assert "verdict: unknown" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twisted-conj", "-n", "2", "--braid", "s1", "-m", "0", "--word", "x1", "--word", "x2"],
+        ["action", "-n", "2", "--braid", "s1", "-m", "0"],
+    ],
+    ids=["twisted-conj", "action"],
+)
+def test_cli_rejects_zero_iterate(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: iteration count m must be >= 1\n"
+
+
 def test_cli_action_and_perm(capsys):
     assert main(["action", "-n", "5", "--braid", "s1 s2 s3^-1 s4^-1"]) == 0
     out = capsys.readouterr().out

@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidforce import (
     BraidWord,
     Decision,
     FreeWord,
     GroupRingElem,
+    MergedTrace,
     SearchBounds,
+    TraceSummand,
     TwistContext,
     abelian_invariant,
     apply,
@@ -30,6 +34,7 @@ from braidforce import (
     reduce,
     reidemeister_trace,
     twisted_conj,
+    word_sort_key,
 )
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
@@ -181,6 +186,19 @@ def test_merge_records_unresolved_pairs():
     assert {format_word(u), format_word(v)} == {"x1", "x2 x1 x2^-1"}
 
 
+def test_merge_bridges_classes_into_the_first():
+    # at radius 1, x3^-1 x1 reaches both x1 x2^-1 and x2 x3^-1, which do not
+    # reach each other; the bridged class keeps x1 x2^-1 as its first member,
+    # so the later unreachable summand is reported against that one
+    ctx = ctx_for(parse_braid("s2^-1 s1^-1", 3), radius=1)
+    words = ["x1 x2^-1", "x2 x3^-1", "x3^-1 x1", "x3^-1 x2^-1 x1 x2 x1 x3^-1", "x3^-1 x2^-1 x1^-1 x2 x3^-1 x1 x2 x3"]
+    raw = GroupRingElem.from_terms(3, [(parse_word(w, 3), c) for c, w in enumerate(words, start=1)])
+    mt = merge(ctx, raw)
+    assert format_trace(mt) == "+10*[x1 x2^-1] +5*[x3^-1 x3^-1 x1 x2]"
+    assert [format_word(m) for m in mt.summands[0].members] == words[:4]
+    assert [(format_word(u), format_word(v)) for u, v in mt.unresolved] == [(words[0], words[1]), (words[0], words[4])]
+
+
 def test_merge_conserves_augmentation():
     rng = random.Random(43)
     for _ in range(40):
@@ -265,3 +283,105 @@ def test_essential_nondegenerate_full_twist():
     assert format_word(classes[0].representative) == "x1 x2"
     assert classes[0].degeneracy.is_yes
     assert classes[0].degeneracy.certificate[0] == "family"
+
+
+# ---------------------------------------------------------------------------
+# merge against the pairwise reference; the symmetry it rests on
+
+
+def _pairwise_merge(ctx, raw):
+    """merge as a twisted_conj call per (member, summand) pair: the reference."""
+    classes = []
+    unresolved = set()
+    for w, c in raw.terms:
+        hits, maybes = [], []
+        for idx, cl in enumerate(classes):
+            verdicts = [twisted_conj(ctx, member, w) for member in cl["members"]]
+            if any(d.is_yes for d in verdicts):
+                hits.append(idx)
+            elif any(d.is_unknown for d in verdicts):
+                maybes.append(idx)
+        if hits:
+            target = classes[hits[0]]
+            for idx in reversed(hits[1:]):
+                other = classes.pop(idx)
+                target["members"].extend(other["members"])
+                target["coeff"] += other["coeff"]
+            target["members"].append(w)
+            target["coeff"] += c
+        else:
+            for idx in maybes:
+                unresolved.add((classes[idx]["members"][0], w))
+            classes.append({"members": [w], "coeff": c})
+    summands = []
+    for cl in classes:
+        if cl["coeff"] == 0:
+            continue
+        members = tuple(sorted(cl["members"], key=word_sort_key))
+        rep = min((canonical_rep(ctx, m) for m in members), key=word_sort_key)
+        summands.append(TraceSummand(cl["coeff"], rep, members))
+    summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, word_sort_key(s.representative)))
+    pairs = tuple(sorted(unresolved, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1]))))
+    return MergedTrace(ctx.rank, tuple(summands), pairs)
+
+
+@st.composite
+def small_twists(draw):
+    """A context for theta = beta^m with n <= 4, |beta| <= 4, m <= 2, radius 0-2."""
+    n = draw(st.integers(2, 4))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=4))))
+    return ctx_for(beta, m=draw(st.integers(1, 2)), radius=draw(st.integers(0, 2)))
+
+
+def words(rank, max_len):
+    pool = [k for i in range(1, rank + 1) for k in (i, -i)]
+    return st.lists(st.sampled_from(pool), max_size=max_len).map(lambda ls: reduce(rank, ls))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twists())
+def test_merge_matches_pairwise_reference_on_raw_traces(ctx):
+    raw = raw_trace(ctx.theta)
+    assert merge(ctx, raw) == _pairwise_merge(ctx, raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twists(), st.data())
+def test_merge_matches_pairwise_reference_on_conjugate_families(ctx, data):
+    # summands built as theta(a) u a^-1 with |a| up to radius + 1 merge, bridge
+    # and stay unresolved far more often than raw trace terms do
+    seeds = data.draw(st.lists(words(ctx.rank, 3), min_size=1, max_size=3))
+    terms = []
+    for u in seeds:
+        for a in data.draw(st.lists(words(ctx.rank, ctx.bounds.radius + 1), max_size=4)):
+            terms.append((concat(apply(ctx.theta, a), u, invert(a)), data.draw(st.sampled_from([-1, 1, 2]))))
+        terms.append((u, 1))
+    raw = GroupRingElem.from_terms(ctx.rank, terms)
+    assert merge(ctx, raw) == _pairwise_merge(ctx, raw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_twists(), st.data())
+def test_twisted_conj_is_symmetric_at_equal_radius(ctx, data):
+    u = data.draw(words(ctx.rank, 4))
+    a = data.draw(words(ctx.rank, ctx.bounds.radius + 1))
+    v = data.draw(st.sampled_from([concat(apply(ctx.theta, a), u, invert(a)), data.draw(words(ctx.rank, 4))]))
+    forward, backward = twisted_conj(ctx, u, v), twisted_conj(ctx, v, u)
+    assert forward.is_yes == backward.is_yes
+    assert forward.kind == backward.kind
+    if forward.is_yes:
+        assert len(forward.witness) == len(backward.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twists(), st.data())
+def test_canonical_rep_is_least_orbit_word(ctx, data):
+    w = data.draw(words(ctx.rank, 4))
+    pool = [k for i in range(1, ctx.rank + 1) for k in (i, -i)]
+    orbit = {
+        concat(apply(ctx.theta, a), w, invert(a))
+        for size in range(ctx.bounds.radius + 1)
+        for a in (reduce(ctx.rank, ls) for ls in itertools.product(pool, repeat=size))
+    }
+    assert canonical_rep(ctx, w) == min(orbit, key=word_sort_key)

@@ -282,6 +282,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # a result failed its verification by substitution: a bug, not bad input
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,14 +18,24 @@ from functools import cached_property
 
 
 def _reduce_letters(parts) -> tuple[int, ...]:
-    """Free reduction of the concatenation of the letter sequences in parts."""
+    """Free reduction of the concatenation of the letter tuples in parts.
+
+    Every part must itself be freely reduced.  Then letters can only cancel
+    where a part meets the reduced prefix: matching letters are popped
+    there, and the rest of the part is appended whole.  Most joins cancel
+    nothing, so the first letter is tested before the cancelling loop.
+    """
     out: list[int] = []
     for part in parts:
-        for k in part:
-            if out and out[-1] == -k:
+        if out and part and out[-1] == -part[0]:
+            out.pop()
+            i, n = 1, len(part)
+            while i < n and out and out[-1] == -part[i]:
                 out.pop()
-            else:
-                out.append(k)
+                i += 1
+            out += part[i:]
+        else:
+            out += part
     return tuple(out)
 
 
@@ -71,8 +81,12 @@ class FreeWord:
 
 
 def reduce(rank: int, letters) -> FreeWord:
-    """Freely reduce a letter sequence into a FreeWord."""
-    return FreeWord(rank, _reduce_letters((letters,)))
+    """Freely reduce a letter sequence into a FreeWord.
+
+    The letters need not be reduced: each one enters the reduction as a
+    one-letter part, which is trivially reduced.
+    """
+    return FreeWord(rank, _reduce_letters((k,) for k in letters))
 
 
 def gen(rank: int, k: int) -> FreeWord:

@@ -131,7 +131,11 @@ def abelian_invariant(ctx: TwistContext, w: FreeWord) -> tuple[int, ...]:
     Twisted conjugation changes the exponent vector by (M - I) * abelianize(a),
     so this coset is a computable invariant of the twisted class.
     """
-    v = list(abelianize(w))
+    return _lattice_reduce(ctx, list(abelianize(w)))
+
+
+def _lattice_reduce(ctx: TwistContext, v: list[int]) -> tuple[int, ...]:
+    """Canonical representative of the vector v (reduced in place) modulo the column lattice of M - I."""
     n = len(v)
     for col in _column_echelon(ctx.matrix):
         r = next(i for i in range(n) if col[i] != 0)
@@ -334,7 +338,8 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
         rep = min((canonical_rep(ctx, m) for m in members), key=word_sort_key)
         summands.append(TraceSummand(cl.coeff, rep, members))
     summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, word_sort_key(s.representative)))
-    pairs = tuple(sorted(unresolved, key=lambda p: (word_sort_key(p[0]), word_sort_key(p[1]))))
+    keys = {w: word_sort_key(w) for w in {w for pair in unresolved for w in pair}}
+    pairs = tuple(sorted(unresolved, key=lambda p: (keys[p[0]], keys[p[1]])))
     return MergedTrace(ctx.rank, tuple(summands), pairs)
 
 
@@ -390,15 +395,28 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
     """Is gamma twisted conjugate to conj_i * x_i^k for some family and |k| <= k_max?
 
     The conjugating word of a fixed strand is only determined up to powers
-    of that strand's generator, hence the bounded sweep over k.
+    of that strand's generator, hence the bounded sweep over k.  The abelian
+    invariant of each probe is abelianize(conj) + k * e_i modulo the lattice,
+    so it is computed arithmetically; a probe is built and searched only when
+    it matches the invariant of gamma (otherwise twisted_conj would say no).
     """
     k_max = ctx.bounds.k_max
     saw_unknown = False
     ks = [0]
     for k in range(1, k_max + 1):
         ks.extend((k, -k))
+    if not families:
+        return Decision("no", None, ("families", k_max))
+    if any(w.rank != ctx.rank for w in (gamma, *(fam.conj for fam in families))):
+        raise ValueError("rank mismatch")
+    target = abelian_invariant(ctx, gamma)
     for fam in families:
+        conj_sums = abelianize(fam.conj)
         for k in ks:
+            v = list(conj_sums)
+            v[fam.strand - 1] += k
+            if _lattice_reduce(ctx, v) != target:
+                continue
             probe = concat(fam.conj, FreeWord(ctx.rank, (fam.strand if k > 0 else -fam.strand,) * abs(k)))
             d = twisted_conj(ctx, probe, gamma)
             if d.is_yes:

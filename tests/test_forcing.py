@@ -21,6 +21,7 @@ from braidforce import (
     report_json_text,
     report_text,
 )
+from braidforce import nielsen
 from braidforce.cli import main
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
@@ -293,6 +294,16 @@ def test_cli_twisted_conj_unknown_exit(capsys):
     )
     assert rc == 1
     assert "verdict: unknown" in capsys.readouterr().out
+
+
+def test_cli_reports_failed_verification(monkeypatch, capsys):
+    # a broken inverse makes the witness x5 fail its check by substitution
+    monkeypatch.setattr(nielsen, "invert", lambda w: w)
+    argv = ["twisted-conj", "-n", "5", "--braid", "s1 s2 s3^-1 s4^-1", "--word", "e", "--word", "x5^-1 x4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: twisted conjugacy witness failed verification\n"
 
 
 @pytest.mark.parametrize(

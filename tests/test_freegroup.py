@@ -22,6 +22,7 @@ from braidforce import (
     reduce,
     word_sort_key,
 )
+from braidforce.freegroup import _reduce_letters
 
 RANK = 4
 
@@ -65,6 +66,30 @@ def test_reduce_absorbs_inserted_cancellations():
         k = rng.choice([j for i in range(1, RANK + 1) for j in (i, -i)])
         corrupted = w.letters[:pos] + (k, -k) + w.letters[pos:]
         assert reduce(RANK, corrupted) == w
+
+
+@st.composite
+def reduced_parts(draw):
+    """Lists of freely reduced parts; some undo the last j parts, so cancellation cascades across j joins."""
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        extra = draw(letters_strategy)
+        if parts and draw(st.booleans()):
+            j = draw(st.integers(1, len(parts)))
+            tail = naive_reduce([k for part in parts[-j:] for k in part])
+            extra = [-k for k in reversed(tail)] + extra
+        parts.append(naive_reduce(extra))
+    return parts
+
+
+@given(reduced_parts())
+def test_reduce_letters_of_reduced_parts_matches_naive_oracle(parts):
+    assert _reduce_letters(parts) == naive_reduce([k for part in parts for k in part])
+
+
+def test_reduce_letters_cascades_across_joins():
+    assert _reduce_letters([(1, 2), (3,), (-3, -2), (-1, 4)]) == (4,)
+    assert _reduce_letters([(1, 2, 3), (-3, -2, -1)]) == ()
 
 
 @given(letters_strategy)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from braidforce import (
     BraidWord,
     Decision,
+    DegenerateFamily,
     FreeWord,
     GroupRingElem,
     MergedTrace,
@@ -36,6 +37,7 @@ from braidforce import (
     twisted_conj,
     word_sort_key,
 )
+from braidforce.nielsen import _orbit
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -385,3 +387,62 @@ def test_canonical_rep_is_least_orbit_word(ctx, data):
         for a in (reduce(ctx.rank, ls) for ls in itertools.product(pool, repeat=size))
     }
     assert canonical_rep(ctx, w) == min(orbit, key=word_sort_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twists(), st.data())
+def test_orbit_words_are_twisted_conjugates(ctx, data):
+    u = data.draw(words(ctx.rank, 5))
+    n = 2 * ctx.rank
+    count = 0
+    for alpha, cand in _orbit(ctx, u, 2):
+        a = FreeWord(ctx.rank, alpha)
+        assert cand == concat(apply(ctx.theta, a), u, invert(a)).letters
+        count += 1
+    assert count == 1 + n + n * (n - 1)  # the reduced words alpha with |alpha| <= 2
+
+
+# ---------------------------------------------------------------------------
+# is_degenerate against the plain sweep
+
+
+def _sweep_is_degenerate(ctx, gamma, families):
+    """is_degenerate as a twisted_conj call per family and power: the reference."""
+    k_max = ctx.bounds.k_max
+    saw_unknown = False
+    ks = [0]
+    for k in range(1, k_max + 1):
+        ks.extend((k, -k))
+    for fam in families:
+        for k in ks:
+            probe = concat(fam.conj, FreeWord(ctx.rank, (fam.strand if k > 0 else -fam.strand,) * abs(k)))
+            d = twisted_conj(ctx, probe, gamma)
+            if d.is_yes:
+                return Decision("yes", d.witness, ("family", fam.strand, k))
+            if d.is_unknown:
+                saw_unknown = True
+    return Decision("unknown" if saw_unknown else "no", None, ("families", k_max))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_degenerate_matches_sweep_reference(data):
+    n = data.draw(st.integers(2, 4))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=4))))
+    m = data.draw(st.integers(1, 2))
+    ctx = ctx_for(beta, m=m, radius=data.draw(st.integers(0, 2)), k_max=data.draw(st.integers(0, 3)))
+    # the real families of theta, then families with arbitrary conjugating words
+    families = degenerate_families(beta, m) + tuple(
+        DegenerateFamily(data.draw(st.integers(1, n)), data.draw(words(n, 4)))
+        for _ in range(data.draw(st.integers(0, 2)))
+    )
+    if families and data.draw(st.booleans()):
+        fam = data.draw(st.sampled_from(families))
+        k = data.draw(st.integers(-ctx.bounds.k_max - 1, ctx.bounds.k_max + 1))
+        probe = concat(fam.conj, FreeWord(n, (fam.strand if k > 0 else -fam.strand,) * abs(k)))
+        a = data.draw(words(n, ctx.bounds.radius + 1))
+        gamma = concat(apply(ctx.theta, a), probe, invert(a))
+    else:
+        gamma = data.draw(words(n, 5))
+    assert is_degenerate(ctx, gamma, families) == _sweep_is_degenerate(ctx, gamma, families)

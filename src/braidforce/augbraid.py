@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .braid import (
     DEFAULT_MAX_LETTERS,
     BraidWord,
+    _pure_letters,
     artin,
     braid_eq,
     braid_invert,
@@ -31,7 +32,6 @@ from .braid import (
     fixes_last_strand,
     format_braid,
     parse_braid,
-    pure_gen,
 )
 from .freegroup import FreeWord, apply, concat, cyclic_reduce, format_word, invert, parse_word, reduce
 from .nielsen import Decision, SearchBounds, TwistContext, twisted_conj
@@ -72,8 +72,7 @@ def phi_word(u: FreeWord) -> BraidWord:
     n = u.rank
     letters: list[int] = []
     for k in u.letters:
-        g = pure_gen(abs(k), n + 1, n + 1)
-        letters.extend(g.letters if k > 0 else braid_invert(g).letters)
+        letters += _pure_letters(abs(k), n + 1, 1 if k > 0 else -1)
     return BraidWord(n + 1, tuple(letters))
 
 

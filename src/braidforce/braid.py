@@ -125,8 +125,12 @@ def pure_gen(i: int, j: int, strands: int) -> BraidWord:
     """
     if not (1 <= i < j <= strands):
         raise ValueError(f"need 1 <= i < j <= strands, got ({i}, {j}, {strands})")
-    letters = list(range(j - 1, i, -1)) + [i, i] + [-k for k in range(i + 1, j)]
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, _pure_letters(i, j))
+
+
+def _pure_letters(i: int, j: int, sign: int = 1) -> tuple[int, ...]:
+    """Letters of A_ij^sign: only the middle s_i^2 changes sign under inversion."""
+    return (*range(j - 1, i, -1), sign * i, sign * i, *range(-i - 1, -j, -1))
 
 
 @functools.lru_cache(maxsize=None)

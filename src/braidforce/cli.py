@@ -1,5 +1,9 @@
 """Command line interface.
 
+Each subcommand returns an exit code and its output: a JSON document under
+``--json``, text otherwise. ``main`` prints that output; it is the only place
+that writes to stdout.
+
 Exit codes: 0 for a decided answer, 1 when bounded searches left the answer
 Unknown or inexact, 2 for usage or input errors.
 """
@@ -7,6 +11,7 @@ Unknown or inexact, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -35,88 +40,87 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
-
-
 def _bounds(args) -> SearchBounds:
     return SearchBounds(args.radius, args.k_max)
 
 
-def _report_decision(args, beta: BraidWord, inputs: dict, d: Decision) -> int:
-    """Print a decision, as JSON after the query's inputs or as text; return the exit code."""
+def _head(args, beta: BraidWord) -> dict:
+    """The leading keys of a JSON document about an iterate of ``beta``."""
+    return {"n": args.strands, "m": args.m, "braid": format_braid(beta)}
+
+
+def _report_decision(args, beta: BraidWord, inputs: dict, d: Decision) -> tuple[int, dict | str]:
+    """A decision as JSON after the query's inputs or as text, with its exit code."""
+    code = 1 if d.is_unknown else 0
     if args.json:
-        _emit(
-            {
-                "n": args.strands,
-                "m": args.m,
-                "braid": format_braid(beta),
-                **inputs,
-                "bounds": asdict(_bounds(args)),
-                "verdict": d.kind,
-                "witness": _json_safe(d.witness),
-                "certificate": _json_safe(d.certificate),
-            }
-        )
-    else:
-        print(f"verdict: {d.kind}")
-        if d.witness is not None:
-            print(f"witness: {format_word(d.witness)}")
-        if d.certificate:
-            print("certificate: " + " ".join(str(_json_safe(x)) for x in d.certificate))
-    return 1 if d.is_unknown else 0
+        return code, {
+            **_head(args, beta),
+            **inputs,
+            "bounds": asdict(_bounds(args)),
+            "verdict": d.kind,
+            "witness": _json_safe(d.witness),
+            "certificate": _json_safe(d.certificate),
+        }
+    lines = [f"verdict: {d.kind}"]
+    if d.witness is not None:
+        lines.append(f"witness: {format_word(d.witness)}")
+    if d.certificate:
+        lines.append("certificate: " + " ".join(str(_json_safe(x)) for x in d.certificate))
+    return code, "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each subcommand's parser carries its ``run``."""
     parser = argparse.ArgumentParser(
         prog="braidforce",
         description="Forced orbit braids of braid iterates via Fox calculus and twisted conjugacy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, m_flag=True, bounds=False):
+    def command(name, run, help, bounds=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("-n", "--strands", type=int, required=True, help="number of strands")
         p.add_argument("--braid", required=True, help="braid word, e.g. 's1 s2 s3^-1'")
-        if m_flag:
-            p.add_argument("-m", type=int, default=1, help="iteration count (default 1)")
+        p.add_argument("-m", type=int, default=1, help="iteration count (default 1)")
         if bounds:
             p.add_argument("--radius", type=int, default=5, help="conjugator search radius (default 5)")
             p.add_argument("--k-max", type=int, default=6, help="strand-loop power bound (default 6)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        return p
 
-    p = sub.add_parser("action", help="images of the free group generators under the braid action")
-    common(p)
+    command("action", _cmd_action, "images of the free group generators under the braid action")
+    command("perm", _cmd_perm, "strand permutation of the braid iterate")
+    command("trace", _cmd_trace, "merged Fox trace of the braid iterate", bounds=True)
 
-    p = sub.add_parser("perm", help="strand permutation of the braid iterate")
-    common(p)
-
-    p = sub.add_parser("trace", help="merged Fox trace of the braid iterate")
-    common(p, bounds=True)
-
-    p = sub.add_parser("forced", help="all braids forced by the braid iterate")
-    common(p, bounds=True)
+    p = command("forced", _cmd_forced, "all braids forced by the braid iterate", bounds=True)
     p.add_argument("--boundary-fixed", action="store_true", help="drop the class realized on the boundary")
     p.add_argument("--permissive", action="store_true", help="keep classes with unknown degeneracy")
 
-    p = sub.add_parser("is-forced", help="decide whether a candidate braid is forced")
-    common(p, bounds=True)
+    p = command("is-forced", _cmd_is_forced, "decide whether a candidate braid is forced", bounds=True)
     p.add_argument("--aug", help="candidate as '(braid ; tail)' on n strands")
     p.add_argument("--word", help="candidate tail word; base defaults to the braid iterate")
     p.add_argument("--cand", help="candidate as a braid word on n+1 strands")
 
-    p = sub.add_parser("degenerate", help="degenerate families carried by fixed strands")
-    common(p)
+    command("degenerate", _cmd_degenerate, "degenerate families carried by fixed strands")
 
     p = sub.add_parser("eq", help="decide equality of two braid words")
+    p.set_defaults(run=_cmd_eq)
     p.add_argument("-n", "--strands", type=int, required=True)
     p.add_argument("--braid", action="append", required=True, help="give twice: the two braid words")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("twisted-conj", help="decide twisted conjugacy of two words under the braid action")
-    common(p, bounds=True)
+    p = command(
+        "twisted-conj",
+        _cmd_twisted_conj,
+        "decide twisted conjugacy of two words under the braid action",
+        bounds=True,
+    )
     p.add_argument("--word", action="append", required=True, help="give twice: the two free group words")
 
     p = sub.add_parser("decompose", help="split a braid word fixing strand n+1 into (base ; tail)")
+    p.set_defaults(run=_cmd_decompose)
     p.add_argument("-n", "--punctures", type=int, required=True, help="number of punctures n")
     p.add_argument("--braid", required=True, help="braid word on n+1 strands")
     p.add_argument("--json", action="store_true")
@@ -124,67 +128,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_action(args) -> int:
+def _cmd_action(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
-    theta = _iterate(beta, args.m)
-    images = [format_word(w) for w in theta.images]
+    images = [format_word(w) for w in _iterate(beta, args.m).images]
     if args.json:
-        _emit({"n": args.strands, "m": args.m, "braid": format_braid(beta), "images": images})
-    else:
-        for i, img in enumerate(images, start=1):
-            print(f"x{i} -> {img}")
-    return 0
+        return 0, {**_head(args, beta), "images": images}
+    return 0, "\n".join(f"x{i} -> {img}" for i, img in enumerate(images, start=1))
 
 
-def _cmd_perm(args) -> int:
+def _cmd_perm(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
     p = perm(power(beta, args.m))
     if args.json:
-        _emit({"n": args.strands, "m": args.m, "braid": format_braid(beta), "perm": list(p.images)})
-    else:
-        print(" ".join(str(i) for i in p.images))
-    return 0
+        return 0, {**_head(args, beta), "perm": list(p.images)}
+    return 0, " ".join(str(i) for i in p.images)
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
     bounds = _bounds(args)
     trace = reidemeister_trace(beta, args.m, bounds)
-    exact = not trace.unresolved
+    code = 1 if trace.unresolved else 0
     if args.json:
-        _emit(
-            {
-                "n": args.strands,
-                "m": args.m,
-                "braid": format_braid(beta),
-                "bounds": asdict(bounds),
-                "trace": format_trace(trace),
-                "summands": [
-                    {"coefficient": s.coefficient, "representative": format_word(s.representative)}
-                    for s in trace.summands
-                ],
-                "unresolved": [[format_word(a), format_word(b)] for a, b in trace.unresolved],
-                "exact": exact,
-            }
-        )
-    else:
-        print(format_trace(trace))
-        for a, b in trace.unresolved:
-            print(f"unresolved: [{format_word(a)}] ~? [{format_word(b)}]")
-    return 0 if exact else 1
+        return code, {
+            **_head(args, beta),
+            "bounds": asdict(bounds),
+            "trace": format_trace(trace),
+            "summands": [
+                {"coefficient": s.coefficient, "representative": format_word(s.representative)}
+                for s in trace.summands
+            ],
+            "unresolved": [[format_word(a), format_word(b)] for a, b in trace.unresolved],
+            "exact": not trace.unresolved,
+        }
+    lines = [format_trace(trace)]
+    lines += (f"unresolved: [{format_word(a)}] ~? [{format_word(b)}]" for a, b in trace.unresolved)
+    return code, "\n".join(lines)
 
 
-def _cmd_forced(args) -> int:
+def _cmd_forced(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
     report = forced_set(beta, args.m, _bounds(args), args.boundary_fixed, args.permissive)
+    code = 0 if report.exact else 1
     if args.json:
-        _emit(report_json(report))
-    else:
-        print(report_text(report))
-    return 0 if report.exact else 1
+        return code, report_json(report)
+    return code, report_text(report)
 
 
-def _cmd_is_forced(args) -> int:
+def _cmd_is_forced(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
     given = [x for x in (args.aug, args.word, args.cand) if x is not None]
     if len(given) != 1:
@@ -200,40 +191,29 @@ def _cmd_is_forced(args) -> int:
     return _report_decision(args, beta, {"candidate": candidate}, d)
 
 
-def _cmd_degenerate(args) -> int:
+def _cmd_degenerate(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
     fams = degenerate_families(beta, args.m)
     if args.json:
-        _emit(
-            {
-                "n": args.strands,
-                "m": args.m,
-                "braid": format_braid(beta),
-                "families": [{"strand": f.strand, "conj": format_word(f.conj)} for f in fams],
-            }
-        )
-    else:
-        if not fams:
-            print("none")
-        for f in fams:
-            print(f"strand {f.strand}: conj = {format_word(f.conj)}")
-    return 0
+        return 0, {
+            **_head(args, beta),
+            "families": [{"strand": f.strand, "conj": format_word(f.conj)} for f in fams],
+        }
+    return 0, "\n".join(f"strand {f.strand}: conj = {format_word(f.conj)}" for f in fams) or "none"
 
 
-def _cmd_eq(args) -> int:
+def _cmd_eq(args) -> tuple[int, dict | str]:
     if len(args.braid) != 2:
         raise ValueError("eq needs --braid given exactly twice")
     b1 = parse_braid(args.braid[0], args.strands)
     b2 = parse_braid(args.braid[1], args.strands)
     equal = braid_eq(b1, b2)
     if args.json:
-        _emit({"n": args.strands, "left": format_braid(b1), "right": format_braid(b2), "equal": equal})
-    else:
-        print("equal" if equal else "not equal")
-    return 0
+        return 0, {"n": args.strands, "left": format_braid(b1), "right": format_braid(b2), "equal": equal}
+    return 0, "equal" if equal else "not equal"
 
 
-def _cmd_twisted_conj(args) -> int:
+def _cmd_twisted_conj(args) -> tuple[int, dict | str]:
     if len(args.word) != 2:
         raise ValueError("twisted-conj needs --word given exactly twice")
     beta = parse_braid(args.braid, args.strands)
@@ -244,41 +224,23 @@ def _cmd_twisted_conj(args) -> int:
     return _report_decision(args, beta, {"u": format_word(u), "v": format_word(v)}, d)
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[int, dict | str]:
     w = parse_braid(args.braid, args.punctures + 1)
     a = from_word(w)
     if args.json:
-        _emit(
-            {
-                "punctures": args.punctures,
-                "input": format_braid(w),
-                "base": format_braid(a.base),
-                "tail": format_word(a.tail),
-            }
-        )
-    else:
-        print(format_aug(a))
-    return 0
-
-
-_COMMANDS = {
-    "action": _cmd_action,
-    "perm": _cmd_perm,
-    "trace": _cmd_trace,
-    "forced": _cmd_forced,
-    "is-forced": _cmd_is_forced,
-    "degenerate": _cmd_degenerate,
-    "eq": _cmd_eq,
-    "twisted-conj": _cmd_twisted_conj,
-    "decompose": _cmd_decompose,
-}
+        return 0, {
+            "punctures": args.punctures,
+            "input": format_braid(w),
+            "base": format_braid(a.base),
+            "tail": format_word(a.tail),
+        }
+    return 0, format_aug(a)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, out = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -286,6 +248,8 @@ def main(argv=None) -> int:
         # a result failed its verification by substitution: a bug, not bad input
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(out, indent=2) if args.json else out)
+    return code
 
 
 if __name__ == "__main__":

@@ -118,10 +118,10 @@ def raw_trace(e: FreeEndo) -> GroupRingElem:
     This is the unmerged fixed-point index sum; summands still have to be
     grouped into twisted conjugacy classes before they mean anything.
     """
-    acc = GroupRingElem.one(e.rank)
+    terms = [(FreeWord(e.rank), 1)]
     for d in jacobian_diagonal(e):
-        acc = acc - d
-    return acc
+        terms += ((w, -c) for w, c in d.terms)
+    return GroupRingElem.from_terms(e.rank, terms)
 
 
 def format_ring(a: GroupRingElem) -> str:

@@ -216,10 +216,6 @@ def endo_power(e: FreeEndo, m: int) -> FreeEndo:
     return acc
 
 
-def endo_eq(e1: FreeEndo, e2: FreeEndo) -> bool:
-    return e1 == e2
-
-
 def endo_matrix(e: FreeEndo) -> tuple[tuple[int, ...], ...]:
     """Abelianized matrix M of e, as rows; column j is abelianize(images[j]).
 

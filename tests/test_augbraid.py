@@ -60,6 +60,20 @@ def test_phi_word_goldens():
     assert fixes_last_strand(phi_word(parse_word("x1 x2^-1", 3)))
 
 
+def test_phi_word_spells_pure_generators():
+    # reference: phi(x_i^{+-1}) is the word of A_{i,n+1} or of its inverse
+    rng = random.Random(52)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        wpool = [k for i in range(1, n + 1) for k in (i, -i)]
+        u = reduce(n, [rng.choice(wpool) for _ in range(rng.randrange(6))])
+        expected = []
+        for k in u.letters:
+            g = pure_gen(abs(k), n + 1, n + 1)
+            expected += (g if k > 0 else braid_invert(g)).letters
+        assert phi_word(u) == BraidWord(n + 1, tuple(expected))
+
+
 def test_phi_word_is_homomorphism():
     rng = random.Random(51)
     for _ in range(30):

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -359,6 +360,23 @@ def test_cli_decompose(capsys):
 def test_cli_parse_error_exit(capsys):
     assert main(["trace", "-n", "3", "--braid", "s9"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_builds_parser_once(monkeypatch, capsys):
+    argv = ["eq", "-n", "3", "--braid", "s1", "--braid", "s2"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert main(["perm", "-n", "2", "--braid", "s1"]) == 0
+    assert built == []
+    assert capsys.readouterr().out == "not equal\nnot equal\n2 1\n"
 
 
 def test_cli_json_deterministic(capsys):

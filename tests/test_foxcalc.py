@@ -142,6 +142,21 @@ def test_raw_trace_augmentation_is_one_minus_fixed_count():
         assert augmentation(raw_trace(artin(b))) == 1 - fixed
 
 
+def test_raw_trace_is_one_minus_diagonal_sum():
+    # reference: subtract the diagonal entries one at a time in the ring
+    from braidforce import BraidWord
+
+    rng = random.Random(36)
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        pool = [k for i in range(1, n) for k in (i, -i)]
+        e = artin(BraidWord(n, tuple(rng.choice(pool) for _ in range(rng.randrange(7)))))
+        expected = GroupRingElem.one(n)
+        for d in jacobian_diagonal(e):
+            expected = expected - d
+        assert raw_trace(e) == expected
+
+
 def test_format_ring():
     assert format_ring(GroupRingElem.zero(2)) == "0"
     assert format_ring(GroupRingElem.one(2)) == "+1*[e]"

@@ -12,7 +12,6 @@ from braidforce import (
     concat,
     conjugator,
     cyclic_reduce,
-    endo_eq,
     endo_matrix,
     endo_power,
     format_word,
@@ -200,9 +199,9 @@ def test_compose_matches_pointwise_application():
 
 def test_endo_power():
     e = FreeEndo(2, (parse_word("x1 x2", 2), gen(2, 2)))
-    assert endo_eq(endo_power(e, 0), FreeEndo.identity(2))
-    assert endo_eq(endo_power(e, 1), e)
-    assert endo_eq(endo_power(e, 3), compose(compose(e, e), e))
+    assert endo_power(e, 0) == FreeEndo.identity(2)
+    assert endo_power(e, 1) == e
+    assert endo_power(e, 3) == compose(compose(e, e), e)
     with pytest.raises(ValueError):
         endo_power(e, -1)
 

@@ -17,3 +17,26 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+
+def _print_calls(node, scope=""):
+    """Yield (scope, line) of each print() call; scope is the dotted enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print":
+            yield scope, child.lineno
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _print_calls(child, f"{scope}.{child.name}" if scope else child.name)
+        else:
+            yield from _print_calls(child, scope)
+
+
+def test_only_cli_main_prints():
+    # every command returns its output and `cli.main` prints it, so stdout
+    # has one writer
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, line in _print_calls(ast.parse(path.read_text(), filename=str(path))):
+            if (path.name, scope) != ("cli.py", "main"):
+                found.append(f"{path.name}:{line} in {scope or '<module>'}")
+    assert found == []

@@ -67,13 +67,18 @@ def act(b: BraidWord, u: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> Fr
     return apply(artin(braid_invert(b), max_letters), u)
 
 
-def phi_word(u: FreeWord) -> BraidWord:
-    """The braid word on rank+1 strands spelling phi(u)."""
+def _phi_letters(u: FreeWord) -> tuple[int, ...]:
+    """The braid letters on rank+1 strands spelling phi(u), unchecked."""
     n = u.rank
     letters: list[int] = []
     for k in u.letters:
         letters += _pure_letters(abs(k), n + 1, 1 if k > 0 else -1)
-    return BraidWord(n + 1, tuple(letters))
+    return tuple(letters)
+
+
+def phi_word(u: FreeWord) -> BraidWord:
+    """The braid word on rank+1 strands spelling phi(u)."""
+    return BraidWord(u.rank + 1, _phi_letters(u))
 
 
 def section_word(b: BraidWord) -> BraidWord:
@@ -82,7 +87,8 @@ def section_word(b: BraidWord) -> BraidWord:
 
 
 def to_word(a: AugBraid) -> BraidWord:
-    return braid_mul(section_word(a.base), phi_word(a.tail))
+    """section(base) * phi(tail) as one braid word: every letter is checked once."""
+    return BraidWord(a.base.strands + 1, a.base.letters + _phi_letters(a.tail))
 
 
 def compose(a1: AugBraid, a2: AugBraid) -> AugBraid:

@@ -27,21 +27,27 @@ class GroupRingElem:
         keys = [word_sort_key(w) for w, _ in self.terms]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("terms must be sorted by word with no duplicates")
-        for w, c in self.terms:
-            if w.rank != self.rank:
-                raise ValueError("term rank mismatch")
-            if not isinstance(c, int) or c == 0:
-                raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
+        _check_terms(self.rank, self.terms)
 
     @classmethod
     def from_terms(cls, rank: int, items) -> GroupRingElem:
-        """Collect (word, coefficient) pairs, summing duplicates, dropping zeros."""
+        """Collect (word, coefficient) pairs, summing duplicates, dropping zeros.
+
+        The collected terms are sorted and duplicate-free by construction, so
+        only their ranks and coefficients are checked; the order check of
+        direct construction is skipped instead of keying every word again.
+        """
         acc: dict[FreeWord, int] = {}
         for w, c in items:
             acc[w] = acc.get(w, 0) + c
         kept = [(w, c) for w, c in acc.items() if c != 0]
         kept.sort(key=lambda t: word_sort_key(t[0]))
-        return cls(rank, tuple(kept))
+        terms = tuple(kept)
+        _check_terms(rank, terms)
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "rank", rank)
+        object.__setattr__(elem, "terms", terms)
+        return elem
 
     @classmethod
     def zero(cls, rank: int) -> GroupRingElem:
@@ -61,6 +67,14 @@ class GroupRingElem:
 
     def __sub__(self, other: GroupRingElem) -> GroupRingElem:
         return self + (-other)
+
+
+def _check_terms(rank: int, terms) -> None:
+    for w, c in terms:
+        if w.rank != rank:
+            raise ValueError("term rank mismatch")
+        if not isinstance(c, int) or c == 0:
+            raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
 
 
 def gr_left_mul(w: FreeWord, a: GroupRingElem) -> GroupRingElem:

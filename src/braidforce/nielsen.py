@@ -150,34 +150,78 @@ def _lattice_reduce(ctx: TwistContext, v: list[int]) -> tuple[int, ...]:
 # bounded orbit search
 
 
-def _orbit(ctx: TwistContext, u: FreeWord, radius: int):
-    """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples.
+def _joined_len(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> int:
+    """Length of the free reduction of a * b * c, for reduced a, b, c.
+
+    The letters that cancel are counted at the joins; nothing is built.
+    Where a meets b, i pairs cancel.  The tail of what is left of b then
+    meets c, and j more pairs cancel.  If that uses up b, what is left of a
+    meets what is left of c, and h more pairs cancel.
+    """
+    la, lb, lc = len(a), len(b), len(c)
+    i = 0
+    while i < la and i < lb and a[la - 1 - i] == -b[i]:
+        i += 1
+    j = 0
+    while j < lc and j < lb - i and b[lb - 1 - j] == -c[j]:
+        j += 1
+    h = 0
+    if j == lb - i:
+        while j + h < lc and i + h < la and a[la - 1 - i - h] == -c[j + h]:
+            h += 1
+    return la + lb + lc - 2 * (i + j + h)
+
+
+def _orbit(ctx: TwistContext, u: FreeWord, radius: int, max_len: int):
+    """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples, words of at most max_len letters.
 
     Enumeration is deterministic: alpha by length first, then lexicographic
     with x_k before x_k^-1.  Iterative deepening keeps memory flat while
     preserving that order; theta images and inverses grow incrementally
-    along the search path.
+    along the search path.  The pairs are exactly those of the unbounded
+    walk whose word has at most max_len letters, in the same order.
+
+    The word of a leaf alpha * k is theta(alpha) * mid[k] * alpha^-1, where
+    mid[k] = theta(x_k) * u * x_k^-1 is reduced once, after the root word u
+    is yielded and only when radius >= 1.  The reduced length of a leaf
+    word is counted at its two joins (_joined_len) before anything is
+    built, so only a word that is yielded is reduced.
     """
     n = ctx.rank
     letters = [k for i in range(1, n + 1) for k in (i, -i)]
     timg = ctx.theta._letter_images
     u_letters = u.letters
-    yield (), u_letters
+    if len(u_letters) <= max_len:
+        yield (), u_letters
+    if not radius:
+        return
+    mid = {k: _reduce_letters((timg[k], u_letters, (-k,))) for k in letters}
     for depth in range(1, radius + 1):
         # stack entries: (alpha, theta(alpha), alpha^-1)
         stack = [((), (), ())]
         while stack:
             alpha, th, inv_a = stack.pop()
-            children = []
-            for k in letters:
-                if alpha and alpha[-1] == -k:
-                    continue
-                child = (alpha + (k,), _reduce_letters((th, timg[k])), (-k,) + inv_a)
-                if len(child[0]) == depth:
-                    yield child[0], _reduce_letters((child[1], u_letters, child[2]))
-                else:
-                    children.append(child)
-            stack.extend(reversed(children))
+            back = -alpha[-1] if alpha else 0
+            if len(alpha) + 1 == depth:
+                # unless mid[k] is empty or cancels against the last letter
+                # of th or the first of inv_a, nothing cancels: the length
+                # is the sum, and words over max_len are skipped uncounted
+                outer = len(th) + len(inv_a)
+                th_end = -th[-1] if th else 0
+                inv_head = -inv_a[0] if inv_a else 0
+                for k in letters:
+                    if k == back:
+                        continue
+                    m = mid[k]
+                    if outer + len(m) <= max_len or (
+                        (not m or m[0] == th_end or m[-1] == inv_head) and _joined_len(th, m, inv_a) <= max_len
+                    ):
+                        yield alpha + (k,), _reduce_letters((th, m, inv_a))
+            else:
+                children = [
+                    (alpha + (k,), _reduce_letters((th, timg[k])), (-k,) + inv_a) for k in letters if k != back
+                ]
+                stack.extend(reversed(children))
 
 
 def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
@@ -186,6 +230,9 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     Yes returns the first witness in enumeration order (shortest, then
     lexicographically first).  No is certified by differing abelianized
     invariants.  Unknown means the search radius was exhausted.
+
+    The walk only builds orbit words of at most len(v) letters: a longer
+    word cannot equal v, so the first match and its witness are unchanged.
     """
     if u.rank != ctx.rank or v.rank != ctx.rank:
         raise ValueError("rank mismatch")
@@ -195,7 +242,7 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
         return Decision("no", None, ("abelian", iu, iv))
     radius = ctx.bounds.radius
     target = v.letters
-    for alpha, cand in _orbit(ctx, u, radius):
+    for alpha, cand in _orbit(ctx, u, radius, len(target)):
         if cand == target:
             witness = FreeWord(ctx.rank, alpha)
             if concat(apply(ctx.theta, witness), u, invert(witness)) != v:
@@ -210,7 +257,7 @@ def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
     # best word, so ties keep the first, and longer words are never keyed
     best = w.letters
     best_key = _letters_key(best)
-    for _, cand in _orbit(ctx, w, ctx.bounds.radius):
+    for _, cand in _orbit(ctx, w, ctx.bounds.radius, len(w)):
         if len(cand) <= len(best):
             key = _letters_key(cand)
             if key < best_key:
@@ -223,7 +270,9 @@ def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
 
     One streamed walk of the orbit (conjugators up to the search radius)
     keeps the least word seen; only words no longer than the current best
-    are compared, and on a tie the first one found stays.  Results are
+    are compared, and on a tie the first one found stays.  The walk is
+    bounded by len(w): the key orders by length first, so a longer word
+    never beats w, and it is not even built.  Results are
     cached per context.  This is a display normal form, not a complete
     invariant: words of the same class canonicalize consistently only when
     the search radius reaches the connecting conjugator.
@@ -271,10 +320,13 @@ def _classes_hit(ctx: TwistContext, w: FreeWord, bucket: list[_Class], owner: di
     the letters of every member so far to its class; orbit words keep the
     abelian invariant of w, so every class found is in the bucket.  One walk
     of the orbit serves the whole bucket, it stops once every class is hit,
-    and each hit is verified by substitution.
+    and each hit is verified by substitution.  The walk is bounded by the
+    longest member of the bucket: owner holds no other word that this orbit
+    can reach, so a longer orbit word is never built.
     """
     hit: set[_Class] = set()
-    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius):
+    longest = max(len(m) for cl in bucket for m in cl.members)
+    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, longest):
         cl = owner.get(cand)
         if cl is None:
             continue

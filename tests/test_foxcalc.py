@@ -169,3 +169,20 @@ def test_ring_validation():
         ring(2, [(gen(3, 1), 1)])  # rank mismatch
     with pytest.raises(ValueError):
         fox(gen(2, 1), 3)
+
+
+def test_direct_construction_checks_order_and_duplicates():
+    # from_terms sorts and collects, so it skips the order check; building the
+    # element directly keeps it
+    x1, x2 = gen(2, 1), gen(2, 2)
+    with pytest.raises(ValueError):
+        GroupRingElem(2, ((x2, 1), (x1, 1)))  # unsorted
+    with pytest.raises(ValueError):
+        GroupRingElem(2, ((x1, 1), (x1, 2)))  # duplicate word
+    with pytest.raises(ValueError):
+        GroupRingElem(2, ((x1, 1), (gen(3, 1), 1)))  # same key, other rank
+    with pytest.raises(ValueError):
+        GroupRingElem(2, ((x1, 0),))
+    with pytest.raises(ValueError):
+        ring(2, [(x1, 1.5)])  # from_terms still checks coefficients
+    assert GroupRingElem(2, ((x1, 1), (x2, -1))) == ring(2, [(x2, -1), (x1, 1)])

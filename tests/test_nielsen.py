@@ -8,6 +8,7 @@ from braidforce import (
     BraidWord,
     Decision,
     DegenerateFamily,
+    FreeEndo,
     FreeWord,
     GroupRingElem,
     MergedTrace,
@@ -37,7 +38,8 @@ from braidforce import (
     twisted_conj,
     word_sort_key,
 )
-from braidforce.nielsen import _orbit
+from braidforce.freegroup import _reduce_letters
+from braidforce.nielsen import _joined_len, _orbit
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -395,11 +397,99 @@ def test_orbit_words_are_twisted_conjugates(ctx, data):
     u = data.draw(words(ctx.rank, 5))
     n = 2 * ctx.rank
     count = 0
-    for alpha, cand in _orbit(ctx, u, 2):
+    longest_image = max(len(img) for img in ctx.theta.images)
+    for alpha, cand in _orbit(ctx, u, 2, 2 * longest_image + len(u) + 2):
         a = FreeWord(ctx.rank, alpha)
         assert cand == concat(apply(ctx.theta, a), u, invert(a)).letters
         count += 1
     assert count == 1 + n + n * (n - 1)  # the reduced words alpha with |alpha| <= 2
+
+
+# ---------------------------------------------------------------------------
+# the length-bounded orbit walk against the unbounded one
+
+
+def _unbounded_orbit(ctx: TwistContext, u: FreeWord, radius: int):
+    """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples.
+
+    Enumeration is deterministic: alpha by length first, then lexicographic
+    with x_k before x_k^-1.  Iterative deepening keeps memory flat while
+    preserving that order; theta images and inverses grow incrementally
+    along the search path.
+    """
+    n = ctx.rank
+    letters = [k for i in range(1, n + 1) for k in (i, -i)]
+    timg = ctx.theta._letter_images
+    u_letters = u.letters
+    yield (), u_letters
+    for depth in range(1, radius + 1):
+        # stack entries: (alpha, theta(alpha), alpha^-1)
+        stack = [((), (), ())]
+        while stack:
+            alpha, th, inv_a = stack.pop()
+            children = []
+            for k in letters:
+                if alpha and alpha[-1] == -k:
+                    continue
+                child = (alpha + (k,), _reduce_letters((th, timg[k])), (-k,) + inv_a)
+                if len(child[0]) == depth:
+                    yield child[0], _reduce_letters((child[1], u_letters, child[2]))
+                else:
+                    children.append(child)
+            stack.extend(reversed(children))
+
+
+def _assert_bounded_orbit_filters_reference(ctx, u, radius, max_lens=None):
+    reference = list(_unbounded_orbit(ctx, u, radius))
+    longest = max(len(cand) for _, cand in reference)
+    for max_len in range(longest + 2) if max_lens is None else max_lens:
+        expected = [p for p in reference if len(p[1]) <= max_len]
+        assert list(_orbit(ctx, u, radius, max_len)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_twists(), st.data())
+def test_bounded_orbit_is_the_filtered_unbounded_orbit(ctx, data):
+    u = data.draw(words(ctx.rank, 5))
+    radius = data.draw(st.integers(0, 3))
+    longest = max(len(cand) for _, cand in _unbounded_orbit(ctx, u, radius))
+    max_len = data.draw(st.integers(0, longest + 2))
+    _assert_bounded_orbit_filters_reference(ctx, u, radius, [max_len])
+
+
+def _endo(rank, *images):
+    return FreeEndo(rank, tuple(parse_word(img, rank) for img in images))
+
+
+@pytest.mark.parametrize(
+    "theta, u",
+    [
+        # identity: theta(alpha) * u * alpha^-1 is plain conjugation, so the
+        # outer letters cancel against each other once u is used up
+        (FreeEndo.identity(3), ""),
+        (FreeEndo.identity(3), "x1 x2 x1^-1"),
+        # u cancels where theta(x1) meets it and where it meets x1^-1
+        (FreeEndo.identity(3), "x1^-1 x2 x1"),
+        (FreeEndo.identity(2), "x1^-1 x2^-1 x1"),
+        # an empty image: theta(x1) = e
+        (_endo(2, "e", "x1 x2"), ""),
+        (_endo(2, "e", "x1 x2"), "x2^-1 x1^-1 x2"),
+        (_endo(3, "e", "x3 x1^-1", "x2 x2"), "x2 x1"),
+        # braid iterates
+        (artin(BETA5), "x1 x2 x3^-1"),
+        (endo_power(artin(parse_braid("s1 s2^-1", 3)), 2), "x2 x1^-1"),
+    ],
+)
+def test_bounded_orbit_fixed_cases(theta, u):
+    ctx = TwistContext.create(theta, SearchBounds(3, 6))
+    _assert_bounded_orbit_filters_reference(ctx, parse_word(u, theta.rank), 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_joined_len_counts_the_reduced_product(data):
+    parts = [data.draw(words(2, 6)).letters for _ in range(3)]
+    assert _joined_len(*parts) == len(_reduce_letters(parts))
 
 
 # ---------------------------------------------------------------------------

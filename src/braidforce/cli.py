@@ -23,6 +23,7 @@ from .nielsen import (
     Decision,
     SearchBounds,
     TwistContext,
+    _format_pairs,
     _iterate,
     degenerate_families,
     format_trace,
@@ -158,11 +159,11 @@ def _cmd_trace(args) -> tuple[int, dict | str]:
                 {"coefficient": s.coefficient, "representative": format_word(s.representative)}
                 for s in trace.summands
             ],
-            "unresolved": [[format_word(a), format_word(b)] for a, b in trace.unresolved],
+            "unresolved": _format_pairs(trace.unresolved),
             "exact": not trace.unresolved,
         }
     lines = [format_trace(trace)]
-    lines += (f"unresolved: [{format_word(a)}] ~? [{format_word(b)}]" for a, b in trace.unresolved)
+    lines += (f"unresolved: [{a}] ~? [{b}]" for a, b in _format_pairs(trace.unresolved))
     return code, "\n".join(lines)
 
 

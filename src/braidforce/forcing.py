@@ -20,6 +20,7 @@ from .nielsen import (
     MergedTrace,
     SearchBounds,
     _analyse,
+    _format_pairs,
     abelian_invariant,
     format_trace,
     is_degenerate,
@@ -168,8 +169,7 @@ def report_text(report: ForcingReport) -> str:
         lines.append(f"  {format_aug(a)} word: {format_braid(to_word(a))}")
     if report.trace.unresolved:
         lines.append("unresolved pairs:")
-        for w1, w2 in report.trace.unresolved:
-            lines.append(f"  [{format_word(w1)}] ~? [{format_word(w2)}]")
+        lines += (f"  [{a}] ~? [{b}]" for a, b in _format_pairs(report.trace.unresolved))
     else:
         lines.append("unresolved pairs: none")
     lines.append(f"exact: {'yes' if report.exact else 'no'}")
@@ -205,7 +205,7 @@ def report_json(report: ForcingReport) -> dict:
             }
             for a in report.forced
         ],
-        "unresolved": [[format_word(w1), format_word(w2)] for w1, w2 in report.trace.unresolved],
+        "unresolved": _format_pairs(report.trace.unresolved),
         "exact": report.exact,
     }
 

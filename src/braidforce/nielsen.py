@@ -4,6 +4,8 @@ Two words u, v are theta-twisted conjugate when v = theta(a) * u * a^-1 for
 some word a.  The relation is undecidable to bound in general, so decisions
 come in three kinds: Yes with an explicit witness, No with an abelianized
 certificate, or Unknown when a bounded breadth-first search is exhausted.
+A braid iterate permutes the generators in homology, so the certificate is
+the exponent sum of each word over each strand cycle of theta.
 
 The raw Fox trace of theta is a formal sum of words; grouping its summands
 by twisted conjugacy and adding coefficients yields the merged trace whose
@@ -15,7 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .braid import BraidWord, artin, perm, power
+from .braid import BraidWord, Permutation, artin
 from .foxcalc import GroupRingElem, raw_trace
 from .freegroup import (
     FreeEndo,
@@ -26,7 +28,6 @@ from .freegroup import (
     apply,
     concat,
     conjugator,
-    endo_matrix,
     endo_power,
     format_word,
     invert,
@@ -77,73 +78,63 @@ class Decision:
 
 @dataclass(frozen=True)
 class TwistContext:
-    """A twisting endomorphism with its abelianization and search bounds."""
+    """A twisting endomorphism theta with its search bounds.
+
+    theta's strand permutation is read off its abelianization on first use:
+    any theta can walk orbits, but only a braid iterate has an invariant.
+    """
 
     theta: FreeEndo
-    matrix: tuple[tuple[int, ...], ...]
     bounds: SearchBounds = SearchBounds()
 
     @classmethod
     def create(cls, theta: FreeEndo, bounds: SearchBounds = SearchBounds()) -> TwistContext:
-        return cls(theta, endo_matrix(theta), bounds)
+        return cls(theta, bounds)
 
     @property
     def rank(self) -> int:
         return self.theta.rank
 
+    @functools.cached_property
+    def _strand_perm(self) -> Permutation:
+        """theta's strand permutation, i to j when abelianize(theta(x_i)) = e_j; ValueError if there is none."""
+        units = {abelianize(FreeWord(self.rank, (j,))): j for j in range(1, self.rank + 1)}
+        return Permutation(tuple(units.get(abelianize(img), 0) for img in self.theta.images))
+
+    @functools.cached_property
+    def _cycle_top(self) -> tuple[int, ...]:
+        """Entry i - 1 is the largest strand of strand i's cycle, less one: the slot of that cycle's sum."""
+        images = self._strand_perm.images
+        tops = []
+        for i in range(1, self.rank + 1):
+            j, top = images[i - 1], i
+            while j != i:
+                j, top = images[j - 1], max(top, j)
+            tops.append(top - 1)
+        return tuple(tops)
+
 
 # ---------------------------------------------------------------------------
-# abelianized invariant: coset of the exponent vector modulo im(M - I)
-
-
-@functools.lru_cache(maxsize=256)
-def _column_echelon(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Integer column echelon basis of the lattice spanned by columns of M - I."""
-    n = len(matrix)
-    work = []
-    for j in range(n):
-        col = [matrix[i][j] - (1 if i == j else 0) for i in range(n)]
-        if any(col):
-            work.append(col)
-    basis: list[list[int]] = []
-    for r in range(n):
-        live = [c for c in work if c[r] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[r]))
-            a = live[0]
-            for b in live[1:]:
-                q = b[r] // a[r]
-                for i in range(r, n):
-                    b[i] -= q * a[i]
-            live = [c for c in work if c[r] != 0]
-        if live:
-            p = live[0]
-            if p[r] < 0:
-                p = [-x for x in p]
-            basis.append(p)
-            work = [c for c in work if c[r] == 0]
-    return tuple(tuple(c) for c in basis)
+# abelianized invariant: the exponent sum over each strand cycle
 
 
 def abelian_invariant(ctx: TwistContext, w: FreeWord) -> tuple[int, ...]:
-    """Canonical representative of abelianize(w) modulo the column lattice of M - I.
+    """The exponent sum of w over each strand cycle of theta, at the cycle's largest strand; zeros elsewhere.
 
-    Twisted conjugation changes the exponent vector by (M - I) * abelianize(a),
-    so this coset is a computable invariant of the twisted class.
+    Twisted conjugation by a adds (M - I) * abelianize(a) to abelianize(w),
+    M being theta's abelianized matrix.  For a braid iterate M permutes the
+    strands, so Z^n / im(M - I) is free on the strand cycles: this tuple
+    names the coset of abelianize(w), an invariant of the twisted class.
     """
-    return _lattice_reduce(ctx, list(abelianize(w)))
+    return _cycle_sums(ctx, abelianize(w))
 
 
-def _lattice_reduce(ctx: TwistContext, v: list[int]) -> tuple[int, ...]:
-    """Canonical representative of the vector v (reduced in place) modulo the column lattice of M - I."""
-    n = len(v)
-    for col in _column_echelon(ctx.matrix):
-        r = next(i for i in range(n) if col[i] != 0)
-        q = v[r] // col[r]
-        if q:
-            for i in range(r, n):
-                v[i] -= q * col[i]
-    return tuple(v)
+def _cycle_sums(ctx: TwistContext, exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """abelian_invariant of a word with the given exponent-sum vector."""
+    sums = [0] * ctx.rank
+    for e, top in zip(exponents, ctx._cycle_top):
+        sums[top] += e
+    return tuple(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +373,16 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
             classes.append(target)
             bucket.append(target)
         owner[w.letters] = target
+    key = functools.cache(word_sort_key)  # one key per distinct word, for all four sorts
     summands = []
     for cl in classes:
         if cl.coeff == 0:
             continue
-        members = tuple(sorted(cl.members, key=word_sort_key))
-        rep = min((canonical_rep(ctx, m) for m in members), key=word_sort_key)
+        members = tuple(sorted(cl.members, key=key))
+        rep = min((canonical_rep(ctx, m) for m in members), key=key)
         summands.append(TraceSummand(cl.coeff, rep, members))
-    summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, word_sort_key(s.representative)))
-    keys = {w: word_sort_key(w) for w in {w for pair in unresolved for w in pair}}
-    pairs = tuple(sorted(unresolved, key=lambda p: (keys[p[0]], keys[p[1]])))
+    summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, key(s.representative)))
+    pairs = tuple(sorted(unresolved, key=lambda p: (key(p[0]), key(p[1]))))
     return MergedTrace(ctx.rank, tuple(summands), pairs)
 
 
@@ -406,6 +397,12 @@ def format_trace(mt: MergedTrace) -> str:
         body = f"[{format_word(s.representative)}]"
         parts.append(f"{sign}{body}" if mag == 1 else f"{sign}{mag}*{body}")
     return " ".join(parts)
+
+
+def _format_pairs(pairs: tuple[tuple[FreeWord, FreeWord], ...]) -> list[list[str]]:
+    """The two words of each pair, formatted; a word that recurs across pairs is formatted once."""
+    names = {w: format_word(w) for w in {w for pair in pairs for w in pair}}
+    return [[names[a], names[b]] for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +426,15 @@ def _iterate(beta: BraidWord, m: int) -> FreeEndo:
 
 def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]:
     """One family per strand fixed by the permutation of beta^m."""
-    return _families(beta, m, _iterate(beta, m))
+    return _families(TwistContext.create(_iterate(beta, m)))
 
 
-def _families(beta: BraidWord, m: int, theta: FreeEndo) -> tuple[DegenerateFamily, ...]:
+def _families(ctx: TwistContext) -> tuple[DegenerateFamily, ...]:
+    """One family per fixed strand of theta, in ascending order."""
     fams = []
-    for i in perm(power(beta, m)).fixed_points():
-        x_i = FreeWord(beta.strands, (i,))
-        lam = conjugator(x_i, apply(theta, x_i))
+    for i in ctx._strand_perm.fixed_points():
+        x_i = FreeWord(ctx.rank, (i,))
+        lam = conjugator(x_i, apply(ctx.theta, x_i))
         if lam is None:  # braid images are conjugates of generators
             raise AssertionError(f"image of x{i} is not a conjugate of x{i}")
         fams.append(DegenerateFamily(i, lam))
@@ -447,34 +445,33 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
     """Is gamma twisted conjugate to conj_i * x_i^k for some family and |k| <= k_max?
 
     The conjugating word of a fixed strand is only determined up to powers
-    of that strand's generator, hence the bounded sweep over k.  The abelian
-    invariant of each probe is abelianize(conj) + k * e_i modulo the lattice,
-    so it is computed arithmetically; a probe is built and searched only when
-    it matches the invariant of gamma (otherwise twisted_conj would say no).
+    of that strand's generator.  The invariant of conj * x_i^k is that of
+    conj plus k at the largest strand t of i's cycle, so at most one k can
+    match gamma's: k = inv(gamma)[t] - inv(conj)[t], when every other
+    coordinate already agrees.  Any other probe would get a No from
+    twisted_conj, so only that one is built and searched, and only when
+    |k| <= k_max.
     """
     k_max = ctx.bounds.k_max
-    saw_unknown = False
-    ks = [0]
-    for k in range(1, k_max + 1):
-        ks.extend((k, -k))
     if not families:
         return Decision("no", None, ("families", k_max))
     if any(w.rank != ctx.rank for w in (gamma, *(fam.conj for fam in families))):
         raise ValueError("rank mismatch")
     target = abelian_invariant(ctx, gamma)
+    saw_unknown = False
     for fam in families:
-        conj_sums = abelianize(fam.conj)
-        for k in ks:
-            v = list(conj_sums)
-            v[fam.strand - 1] += k
-            if _lattice_reduce(ctx, v) != target:
-                continue
-            probe = concat(fam.conj, FreeWord(ctx.rank, (fam.strand if k > 0 else -fam.strand,) * abs(k)))
-            d = twisted_conj(ctx, probe, gamma)
-            if d.is_yes:
-                return Decision("yes", d.witness, ("family", fam.strand, k))
-            if d.is_unknown:
-                saw_unknown = True
+        top = ctx._cycle_top[fam.strand - 1]
+        gap = [t - c for t, c in zip(target, _cycle_sums(ctx, abelianize(fam.conj)))]
+        k = gap[top]
+        gap[top] = 0
+        if any(gap) or abs(k) > k_max:
+            continue
+        probe = concat(fam.conj, FreeWord(ctx.rank, (fam.strand if k > 0 else -fam.strand,) * abs(k)))
+        d = twisted_conj(ctx, probe, gamma)
+        if d.is_yes:
+            return Decision("yes", d.witness, ("family", fam.strand, k))
+        if d.is_unknown:
+            saw_unknown = True
     return Decision("unknown" if saw_unknown else "no", None, ("families", k_max))
 
 
@@ -489,7 +486,7 @@ def _analyse(
     """The forcing pipeline up to degeneracy: context, merged trace and families of theta."""
     theta = _iterate(beta, m)
     ctx = TwistContext.create(theta, bounds)
-    return ctx, merge(ctx, raw_trace(theta)), _families(beta, m, theta)
+    return ctx, merge(ctx, raw_trace(theta)), _families(ctx)
 
 
 def reidemeister_trace(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> MergedTrace:

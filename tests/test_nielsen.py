@@ -16,12 +16,15 @@ from braidforce import (
     TraceSummand,
     TwistContext,
     abelian_invariant,
+    abelianize,
     apply,
     artin,
     augmentation,
     canonical_rep,
     concat,
+    conjugator,
     degenerate_families,
+    endo_matrix,
     endo_power,
     forced_set,
     format_trace,
@@ -32,6 +35,8 @@ from braidforce import (
     merge,
     parse_braid,
     parse_word,
+    perm,
+    power,
     raw_trace,
     reduce,
     reidemeister_trace,
@@ -536,3 +541,91 @@ def test_is_degenerate_matches_sweep_reference(data):
     else:
         gamma = data.draw(words(n, 5))
     assert is_degenerate(ctx, gamma, families) == _sweep_is_degenerate(ctx, gamma, families)
+
+
+# ---------------------------------------------------------------------------
+# the strand-cycle invariant against the integer lattice reduction
+
+
+def _column_echelon(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Integer column echelon basis of the lattice spanned by columns of M - I."""
+    n = len(matrix)
+    work = []
+    for j in range(n):
+        col = [matrix[i][j] - (1 if i == j else 0) for i in range(n)]
+        if any(col):
+            work.append(col)
+    basis: list[list[int]] = []
+    for r in range(n):
+        live = [c for c in work if c[r] != 0]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(c[r]))
+            a = live[0]
+            for b in live[1:]:
+                q = b[r] // a[r]
+                for i in range(r, n):
+                    b[i] -= q * a[i]
+            live = [c for c in work if c[r] != 0]
+        if live:
+            p = live[0]
+            if p[r] < 0:
+                p = [-x for x in p]
+            basis.append(p)
+            work = [c for c in work if c[r] == 0]
+    return tuple(tuple(c) for c in basis)
+
+
+def _lattice_reduce(ctx: TwistContext, v: list[int]) -> tuple[int, ...]:
+    """Canonical representative of the vector v (reduced in place) modulo the column lattice of M - I.
+
+    The reference for abelian_invariant: it holds for any theta, and M is
+    read from theta here.
+    """
+    n = len(v)
+    for col in _column_echelon(endo_matrix(ctx.theta)):
+        r = next(i for i in range(n) if col[i] != 0)
+        q = v[r] // col[r]
+        if q:
+            for i in range(r, n):
+                v[i] -= q * col[i]
+    return tuple(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_twists(), st.data())
+def test_abelian_invariant_matches_lattice_reference(ctx, data):
+    for w in (FreeWord.identity(ctx.rank), data.draw(words(ctx.rank, 8))):
+        assert abelian_invariant(ctx, w) == _lattice_reduce(ctx, list(abelianize(w)))
+
+
+def _perm_families(beta, m):
+    """degenerate_families from the strands fixed by the braid permutation of beta^m: the reference."""
+    theta = endo_power(artin(beta), m)
+    fams = []
+    for i in perm(power(beta, m)).fixed_points():
+        x_i = gen(beta.strands, i)
+        fams.append(DegenerateFamily(i, conjugator(x_i, apply(theta, x_i))))
+    return tuple(fams)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_degenerate_families_match_braid_permutation_reference(data):
+    n = data.draw(st.integers(2, 5))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=5))))
+    m = data.draw(st.integers(1, 3))
+    assert degenerate_families(beta, m) == _perm_families(beta, m)
+
+
+@pytest.mark.parametrize("images", [("x1 x1", "x2"), ("x2 x1 x2^-1", "x1")])
+def test_context_without_strand_permutation_walks_orbits_only(images):
+    # x1 x1 abelianizes to no unit vector; the second theta sends both
+    # generators to e_1
+    ctx = TwistContext.create(_endo(2, *images), SearchBounds(2, 6))
+    u = parse_word("x2 x1", 2)
+    with pytest.raises(ValueError):
+        abelian_invariant(ctx, u)
+    with pytest.raises(ValueError):
+        twisted_conj(ctx, u, u)
+    _assert_bounded_orbit_filters_reference(ctx, u, 2)

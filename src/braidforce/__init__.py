@@ -7,53 +7,25 @@ each force a braid on n+1 strands: every homeomorphism inducing the braid
 must exhibit it among its iterate orbits.  All computations are exact;
 searches that are bounded for decidability report Unknown instead of
 guessing.
+
+The package exports the supported API: the pipeline stages and the types
+they take and return.  Everything else stays importable from its module,
+for example ``from braidforce.freegroup import apply, concat``.
 """
 
-from .freegroup import (
-    FreeEndo,
-    FreeWord,
-    abelianize,
-    apply,
-    compose,
-    concat,
-    conjugator,
-    cyclic_reduce,
-    endo_matrix,
-    endo_power,
-    format_word,
-    gen,
-    invert,
-    parse_word,
-    reduce,
-    word_sort_key,
-)
+from .freegroup import FreeEndo, FreeWord, endo_power, format_word, parse_word
 from .braid import (
-    DEFAULT_MAX_LETTERS,
     BraidWord,
     Permutation,
     WordTooLongError,
     artin,
-    artin_apply,
     braid_eq,
-    braid_invert,
-    braid_mul,
-    fixes_last_strand,
     format_braid,
     parse_braid,
     perm,
     power,
-    pure_gen,
 )
-from .foxcalc import (
-    GroupRingElem,
-    augmentation,
-    format_ring,
-    fox,
-    gr_left_mul,
-    gr_right_mul,
-    jacobian_diagonal,
-    raw_trace,
-)
+from .foxcalc import GroupRingElem, raw_trace
 from .nielsen import (
     Decision,
     DegenerateFamily,
@@ -61,112 +33,51 @@ from .nielsen import (
     SearchBounds,
     TraceSummand,
     TwistContext,
-    abelian_invariant,
-    canonical_rep,
     degenerate_families,
     format_trace,
-    is_degenerate,
     merge,
     reidemeister_trace,
     twisted_conj,
 )
-from .augbraid import (
-    AugBraid,
-    act,
-    aug_eq,
-    aug_invert,
-    format_aug,
-    from_word,
-    parse_aug,
-    phi_word,
-    section_word,
-    to_word,
-    u_equiv,
-)
-from .augbraid import compose as aug_compose
-from .forcing import (
-    ClassReport,
-    ForcingReport,
-    forced_set,
-    is_forced,
-    report_json,
-    report_json_text,
-    report_text,
-)
+from .augbraid import AugBraid, format_aug, from_word, to_word
+from .forcing import ClassReport, ForcingReport, forced_set, is_forced
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FreeWord",
     "FreeEndo",
-    "reduce",
-    "gen",
-    "concat",
-    "invert",
-    "cyclic_reduce",
-    "conjugator",
-    "abelianize",
-    "word_sort_key",
-    "apply",
-    "compose",
-    "endo_power",
-    "endo_matrix",
     "parse_word",
     "format_word",
+    "endo_power",
     "BraidWord",
     "Permutation",
     "WordTooLongError",
-    "DEFAULT_MAX_LETTERS",
-    "braid_mul",
-    "braid_invert",
-    "power",
-    "perm",
-    "fixes_last_strand",
-    "pure_gen",
-    "artin",
-    "artin_apply",
-    "braid_eq",
     "parse_braid",
     "format_braid",
+    "power",
+    "perm",
+    "artin",
+    "braid_eq",
     "GroupRingElem",
-    "gr_left_mul",
-    "gr_right_mul",
-    "augmentation",
-    "fox",
-    "jacobian_diagonal",
     "raw_trace",
-    "format_ring",
     "SearchBounds",
     "Decision",
     "TwistContext",
-    "abelian_invariant",
-    "twisted_conj",
-    "canonical_rep",
-    "TraceSummand",
     "MergedTrace",
+    "TraceSummand",
+    "DegenerateFamily",
+    "twisted_conj",
     "merge",
     "format_trace",
     "reidemeister_trace",
-    "DegenerateFamily",
     "degenerate_families",
-    "is_degenerate",
     "AugBraid",
-    "act",
-    "phi_word",
-    "section_word",
     "to_word",
-    "aug_compose",
-    "aug_invert",
-    "aug_eq",
     "from_word",
-    "u_equiv",
-    "parse_aug",
     "format_aug",
     "ClassReport",
     "ForcingReport",
     "forced_set",
     "is_forced",
-    "report_text",
-    "report_json",
-    "report_json_text",
 ]

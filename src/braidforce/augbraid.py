@@ -29,7 +29,6 @@ from .braid import (
     braid_eq,
     braid_invert,
     braid_mul,
-    fixes_last_strand,
     format_braid,
     parse_braid,
 )
@@ -95,7 +94,7 @@ def compose(a1: AugBraid, a2: AugBraid) -> AugBraid:
     """Product in semidirect coordinates: the second base twists the first tail."""
     if a1.punctures != a2.punctures:
         raise ValueError("puncture count mismatch")
-    tail = concat(act(braid_invert(a2.base), a1.tail), a2.tail)
+    tail = concat(apply(artin(a2.base), a1.tail), a2.tail)
     return AugBraid(braid_mul(a1.base, a2.base), tail)
 
 
@@ -123,8 +122,6 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
         raise ValueError("need at least 2 strands to split off the last one")
     if len(w.letters) > max_letters:
         raise ValueError(f"input word has {len(w.letters)} letters (cap {max_letters})")
-    if not fixes_last_strand(w):
-        raise ValueError("braid does not fix the last strand")
     n = w.strands - 1
     base = _delete_last_strand(w)
     rest = braid_mul(braid_invert(section_word(base)), w)
@@ -141,7 +138,8 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
 
 def _delete_last_strand(w: BraidWord) -> BraidWord:
     # walk the distinguished strand: crossings touching it vanish, crossings
-    # strictly above its current position shift down one slot
+    # strictly above its current position shift down one slot; it must end
+    # where it started
     pos = w.strands
     out: list[int] = []
     for letter in w.letters:
@@ -155,7 +153,7 @@ def _delete_last_strand(w: BraidWord) -> BraidWord:
         else:
             out.append(letter)
     if pos != w.strands:
-        raise AssertionError("the last strand does not return to its position")
+        raise ValueError("braid does not fix the last strand")
     return BraidWord(w.strands - 1, tuple(out))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, apply, compose
+from .freegroup import FreeEndo, FreeWord, _format_letters, _parse_letters, apply, compose
 
 DEFAULT_MAX_LETTERS = 128
 
@@ -84,10 +84,6 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
 
     def apply(self, k: int) -> int:
         return self.images[k - 1]
@@ -180,32 +176,11 @@ def artin_apply(b: BraidWord, w: FreeWord, max_letters: int = DEFAULT_MAX_LETTER
 # ---------------------------------------------------------------------------
 # text form: `s1 s2^-1` etc., `e` for the trivial braid
 
+
 def parse_braid(text: str, strands: int) -> BraidWord:
-    """Parse a braid word.  Tokens: `s<k>`, `s<k>^-1`, signed integers, `e`."""
-    letters: list[int] = []
-    for tok in text.split():
-        if tok == "e":
-            continue
-        if tok.startswith("s"):
-            body = tok[1:]
-            neg = body.endswith("^-1")
-            if neg:
-                body = body[:-3]
-            if not body.isdigit() or int(body) < 1:
-                raise ValueError(f"bad braid token {tok!r}")
-            letters.append(-int(body) if neg else int(body))
-        else:
-            try:
-                k = int(tok)
-            except ValueError:
-                raise ValueError(f"bad braid token {tok!r}") from None
-            if k == 0:
-                raise ValueError("0 is not a valid braid letter")
-            letters.append(k)
-    return BraidWord(strands, tuple(letters))
+    """Parse a braid word.  Tokens: `s<k>`, `s<k>^-1`, nonzero signed integers, `e`."""
+    return BraidWord(strands, _parse_letters(text, "s"))
 
 
 def format_braid(b: BraidWord) -> str:
-    if not b.letters:
-        return "e"
-    return " ".join(f"s{k}" if k > 0 else f"s{-k}^-1" for k in b.letters)
+    return _format_letters(b.letters, "s")

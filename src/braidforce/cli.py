@@ -86,8 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--braid", required=True, help="braid word, e.g. 's1 s2 s3^-1'")
         p.add_argument("-m", type=int, default=1, help="iteration count (default 1)")
         if bounds:
-            p.add_argument("--radius", type=int, default=5, help="conjugator search radius (default 5)")
-            p.add_argument("--k-max", type=int, default=6, help="strand-loop power bound (default 6)")
+            p.add_argument(
+                "--radius", type=int, default=SearchBounds.radius, help="conjugator search radius (default %(default)s)"
+            )
+            p.add_argument(
+                "--k-max", type=int, default=SearchBounds.k_max, help="strand-loop power bound (default %(default)s)"
+            )
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return p
 

@@ -20,6 +20,7 @@ from .nielsen import (
     MergedTrace,
     SearchBounds,
     _analyse,
+    _families,
     _format_pairs,
     abelian_invariant,
     format_trace,
@@ -68,7 +69,8 @@ def forced_set(
     realized on the boundary.  exact is False whenever any Unknown decision
     could have changed the answer.
     """
-    ctx, trace, families = _analyse(beta, m, bounds)
+    ctx, trace = _analyse(beta, m, bounds)
+    families = _families(ctx)
     base = power(beta, m)
     identity = FreeWord(beta.strands)
 
@@ -110,7 +112,8 @@ def is_forced(
         raise ValueError("iteration count m must be >= 1")
     if not braid_eq(candidate.base, power(beta, m)):
         return Decision("no", None, ("base_mismatch",))
-    ctx, trace, families = _analyse(beta, m, bounds)
+    ctx, trace = _analyse(beta, m, bounds)
+    families = _families(ctx)
     fuzzy = {w for pair in trace.unresolved for w in pair}
     saw_unknown = bool(trace.unresolved)
     for s in trace.summands:
@@ -147,7 +150,7 @@ def report_text(report: ForcingReport) -> str:
         f"strands: {report.beta.strands}",
         f"iterate m: {report.m}",
         f"base word: {format_braid(report.base)}",
-        f"bounds: radius={report.bounds.radius} k_max={report.bounds.k_max}",
+        "bounds: " + " ".join(f"{k}={v}" for k, v in asdict(report.bounds).items()),
         f"boundary_fixed: {'yes' if report.boundary_fixed else 'no'}",
         f"permissive: {'yes' if report.permissive else 'no'}",
         f"trace: {format_trace(report.trace)}",
@@ -187,11 +190,12 @@ def report_json(report: ForcingReport) -> dict:
             "boundary": None if c.boundary is None else c.boundary.kind,
         }
         classes.append(entry)
+    base = format_braid(report.base)  # the base of every forced braid
     return {
         "n": report.beta.strands,
         "m": report.m,
         "beta": format_braid(report.beta),
-        "base_word": format_braid(report.base),
+        "base_word": base,
         "bounds": asdict(report.bounds),
         "boundary_fixed": report.boundary_fixed,
         "permissive": report.permissive,
@@ -199,7 +203,7 @@ def report_json(report: ForcingReport) -> dict:
         "classes": classes,
         "forced": [
             {
-                "base": format_braid(a.base),
+                "base": base,
                 "tail": format_word(a.tail),
                 "word": format_braid(to_word(a)),
             }

@@ -227,34 +227,34 @@ def endo_matrix(e: FreeEndo) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# text form: `x2 x3^-1` etc., `e` for the identity
+# text form, shared with braid words: `x2 x3^-1` over the generator letter x
+# (`s2 s3^-1` over s), nonzero signed integers, `e` for the identity
 
-_TOKEN = re.compile(r"^(?:e|[+-]?\d+|x(\d+)(\^-1)?)$")
+_WORD_TOKEN = re.compile(r"([+-]?\d+)|([a-z])(\d+)(\^-1)?")
+
+
+def _parse_letters(text: str, letter: str) -> tuple[int, ...]:
+    """The signed letters of a word written over the generator letter, unreduced."""
+    letters: list[int] = []
+    for tok in text.split():
+        if tok == "e":
+            continue
+        m = _WORD_TOKEN.fullmatch(tok)
+        if m is None or m[2] not in (None, letter) or not (k := int(m[1] or m[3])):
+            raise ValueError(f"bad token {tok!r}: expected e, a nonzero integer, {letter}<k> or {letter}<k>^-1")
+        letters.append(-k if m[4] else k)
+    return tuple(letters)
+
+
+def _format_letters(letters: tuple[int, ...], letter: str) -> str:
+    """The text form of signed letters over the generator letter; `e` when there are none."""
+    return " ".join(f"{letter}{k}" if k > 0 else f"{letter}{-k}^-1" for k in letters) or "e"
 
 
 def parse_word(text: str, rank: int) -> FreeWord:
-    """Parse a free word.  Tokens: `x<k>`, `x<k>^-1`, signed integers, `e`."""
-    letters: list[int] = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if m is None:
-            raise ValueError(f"bad free-group token {tok!r}")
-        if tok == "e":
-            continue
-        if tok.startswith("x"):
-            k = int(m.group(1))
-            if k < 1:
-                raise ValueError(f"bad generator index in {tok!r}")
-            letters.append(-k if m.group(2) else k)
-        else:
-            k = int(tok)
-            if k == 0:
-                raise ValueError("0 is not a valid letter")
-            letters.append(k)
-    return reduce(rank, letters)
+    """Parse a free word.  Tokens: `x<k>`, `x<k>^-1`, nonzero signed integers, `e`."""
+    return reduce(rank, _parse_letters(text, "x"))
 
 
 def format_word(w: FreeWord) -> str:
-    if not w.letters:
-        return "e"
-    return " ".join(f"x{k}" if k > 0 else f"x{-k}^-1" for k in w.letters)
+    return _format_letters(w.letters, "x")

@@ -215,6 +215,20 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, max_len: int):
                 stack.extend(reversed(children))
 
 
+def _matches(ctx: TwistContext, w: FreeWord, targets, max_len: int):
+    """Yield (alpha, word) for each orbit word theta(alpha) * w * alpha^-1 in targets, in walk order.
+
+    The walk is _orbit's at the context's radius, bounded by max_len; each
+    hit is verified by substitution before it is yielded.
+    """
+    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, max_len):
+        if cand in targets:
+            a = FreeWord(ctx.rank, alpha)
+            if concat(apply(ctx.theta, a), w, invert(a)).letters != cand:
+                raise AssertionError("twisted conjugacy witness failed verification")
+            yield a, cand
+
+
 def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     """Decide whether v = theta(a) * u * a^-1 for some word a.
 
@@ -231,15 +245,9 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     iv = abelian_invariant(ctx, v)
     if iu != iv:
         return Decision("no", None, ("abelian", iu, iv))
-    radius = ctx.bounds.radius
-    target = v.letters
-    for alpha, cand in _orbit(ctx, u, radius, len(target)):
-        if cand == target:
-            witness = FreeWord(ctx.rank, alpha)
-            if concat(apply(ctx.theta, witness), u, invert(witness)) != v:
-                raise AssertionError("twisted conjugacy witness failed verification")
-            return Decision("yes", witness)
-    return Decision("unknown", None, ("radius", radius))
+    for witness, _ in _matches(ctx, u, (v.letters,), len(v)):
+        return Decision("yes", witness)
+    return Decision("unknown", None, ("radius", ctx.bounds.radius))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -317,14 +325,8 @@ def _classes_hit(ctx: TwistContext, w: FreeWord, bucket: list[_Class], owner: di
     """
     hit: set[_Class] = set()
     longest = max(len(m) for cl in bucket for m in cl.members)
-    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, longest):
-        cl = owner.get(cand)
-        if cl is None:
-            continue
-        a = FreeWord(ctx.rank, alpha)
-        if concat(apply(ctx.theta, a), w, invert(a)).letters != cand:
-            raise AssertionError("twisted conjugacy witness failed verification")
-        hit.add(cl)
+    for _, cand in _matches(ctx, w, owner, longest):
+        hit.add(owner[cand])
         if len(hit) == len(bucket):
             break
     return [cl for cl in bucket if cl in hit]
@@ -477,16 +479,17 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
 
 # ---------------------------------------------------------------------------
 # the forcing pipeline: Artin action, theta = its m-th iterate, Fox trace,
-# merge by twisted conjugacy, degenerate families
+# merge by twisted conjugacy
 
 
-def _analyse(
-    beta: BraidWord, m: int, bounds: SearchBounds
-) -> tuple[TwistContext, MergedTrace, tuple[DegenerateFamily, ...]]:
-    """The forcing pipeline up to degeneracy: context, merged trace and families of theta."""
+def _analyse(beta: BraidWord, m: int, bounds: SearchBounds) -> tuple[TwistContext, MergedTrace]:
+    """The forcing pipeline up to the merged trace: the context of theta and its merged trace.
+
+    Callers that judge degeneracy take theta's families from _families(ctx).
+    """
     theta = _iterate(beta, m)
     ctx = TwistContext.create(theta, bounds)
-    return ctx, merge(ctx, raw_trace(theta)), _families(ctx)
+    return ctx, merge(ctx, raw_trace(theta))
 
 
 def reidemeister_trace(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> MergedTrace:

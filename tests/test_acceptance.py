@@ -19,40 +19,30 @@ from braidforce import (
     GroupRingElem,
     SearchBounds,
     TwistContext,
-    apply,
     artin,
-    aug_eq,
-    augmentation,
     braid_eq,
-    braid_invert,
-    braid_mul,
-    concat,
     degenerate_families,
     endo_power,
     forced_set,
     format_trace,
     format_word,
-    fox,
     from_word,
-    gen,
-    gr_right_mul,
-    invert,
-    is_degenerate,
     is_forced,
     merge,
     parse_braid,
     parse_word,
     perm,
-    phi_word,
-    pure_gen,
     raw_trace,
-    reduce,
     reidemeister_trace,
-    report_json_text,
-    section_word,
     to_word,
     twisted_conj,
 )
+from braidforce.freegroup import apply, concat, gen, invert, reduce
+from braidforce.braid import braid_invert, braid_mul, pure_gen
+from braidforce.foxcalc import augmentation, fox, gr_right_mul
+from braidforce.nielsen import is_degenerate
+from braidforce.augbraid import aug_eq, phi_word, section_word
+from braidforce.forcing import report_json_text
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 IOTA5 = BraidWord(6, BETA5.letters)
@@ -219,7 +209,7 @@ def test_criterion_6_merge_conserves_augmentation():
 
 def test_criterion_7_action_calibration_and_decomposition():
     t0 = time.monotonic()
-    from braidforce import act
+    from braidforce.augbraid import act
 
     # the action used for composing tails is pinned by the section identity
     for n in (2, 3):

@@ -7,29 +7,26 @@ from braidforce import (
     BraidWord,
     FreeWord,
     SearchBounds,
-    act,
     artin,
-    apply,
-    aug_compose,
-    aug_eq,
-    aug_invert,
     braid_eq,
-    braid_invert,
-    braid_mul,
-    fixes_last_strand,
     format_aug,
     format_braid,
     format_word,
     from_word,
-    gen,
-    parse_aug,
     parse_braid,
     parse_word,
-    phi_word,
-    pure_gen,
-    reduce,
-    section_word,
     to_word,
+)
+from braidforce.freegroup import apply, gen, reduce
+from braidforce.braid import braid_invert, braid_mul, fixes_last_strand, pure_gen
+from braidforce.augbraid import (
+    act,
+    compose as aug_compose,
+    aug_eq,
+    aug_invert,
+    parse_aug,
+    phi_word,
+    section_word,
     u_equiv,
 )
 

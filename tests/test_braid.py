@@ -6,21 +6,16 @@ from braidforce import (
     BraidWord,
     WordTooLongError,
     artin,
-    artin_apply,
     braid_eq,
-    braid_invert,
-    braid_mul,
-    compose,
-    fixes_last_strand,
     format_braid,
     format_word,
-    gen,
     parse_braid,
     parse_word,
     perm,
     power,
-    pure_gen,
 )
+from braidforce.freegroup import compose, gen
+from braidforce.braid import artin_apply, braid_invert, braid_mul, fixes_last_strand, pure_gen
 
 
 def rand_braid(rng, strands, max_len=6):

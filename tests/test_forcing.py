@@ -7,21 +7,17 @@ from braidforce import (
     AugBraid,
     BraidWord,
     SearchBounds,
-    aug_eq,
     braid_eq,
-    braid_invert,
-    braid_mul,
     forced_set,
     format_word,
     from_word,
     is_forced,
     parse_braid,
     parse_word,
-    pure_gen,
-    report_json,
-    report_json_text,
-    report_text,
 )
+from braidforce.braid import braid_invert, braid_mul, pure_gen
+from braidforce.augbraid import aug_eq
+from braidforce.forcing import report_json, report_json_text, report_text
 from braidforce import nielsen
 from braidforce.cli import main
 

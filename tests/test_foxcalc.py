@@ -6,19 +6,18 @@ from braidforce import (
     FreeWord,
     GroupRingElem,
     artin,
-    augmentation,
-    concat,
-    format_ring,
-    fox,
-    gen,
-    gr_left_mul,
-    gr_right_mul,
-    invert,
-    jacobian_diagonal,
     parse_braid,
     parse_word,
     raw_trace,
-    reduce,
+)
+from braidforce.freegroup import concat, gen, invert, reduce
+from braidforce.foxcalc import (
+    augmentation,
+    format_ring,
+    fox,
+    gr_left_mul,
+    gr_right_mul,
+    jacobian_diagonal,
 )
 
 

@@ -6,6 +6,11 @@ from hypothesis import given, strategies as st
 from braidforce import (
     FreeEndo,
     FreeWord,
+    endo_power,
+    format_word,
+    parse_word,
+)
+from braidforce.freegroup import (
     abelianize,
     apply,
     compose,
@@ -13,11 +18,8 @@ from braidforce import (
     conjugator,
     cyclic_reduce,
     endo_matrix,
-    endo_power,
-    format_word,
     gen,
     invert,
-    parse_word,
     reduce,
     word_sort_key,
 )

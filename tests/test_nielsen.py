@@ -15,34 +15,34 @@ from braidforce import (
     SearchBounds,
     TraceSummand,
     TwistContext,
-    abelian_invariant,
-    abelianize,
-    apply,
     artin,
-    augmentation,
-    canonical_rep,
-    concat,
-    conjugator,
     degenerate_families,
-    endo_matrix,
     endo_power,
     forced_set,
     format_trace,
     format_word,
-    gen,
-    invert,
-    is_degenerate,
     merge,
     parse_braid,
     parse_word,
     perm,
     power,
     raw_trace,
-    reduce,
     reidemeister_trace,
     twisted_conj,
+)
+from braidforce.freegroup import (
+    abelianize,
+    apply,
+    concat,
+    conjugator,
+    endo_matrix,
+    gen,
+    invert,
+    reduce,
     word_sort_key,
 )
+from braidforce.foxcalc import augmentation
+from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
 from braidforce.nielsen import _joined_len, _orbit
 

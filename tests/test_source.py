@@ -1,11 +1,14 @@
 """Source-level checks on the package itself."""
 
 import ast
+import re
+import types
 from pathlib import Path
 
 import braidforce
 
 PACKAGE = Path(braidforce.__file__).resolve().parent
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def test_no_assert_statements_in_package():
@@ -40,3 +43,20 @@ def test_only_cli_main_prints():
             if (path.name, scope) != ("cli.py", "main"):
                 found.append(f"{path.name}:{line} in {scope or '<module>'}")
     assert found == []
+
+
+def test_all_is_exactly_the_public_names_bound_in_the_package():
+    # an import without an export, or an export without an import, fails
+    bound = {
+        name
+        for name, value in vars(braidforce).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(set(braidforce.__all__)) == len(braidforce.__all__)
+    assert set(braidforce.__all__) == bound
+
+
+def test_bench_workloads_use_only_exported_names():
+    used = set(re.findall(r"\bbf\.(\w+)", BENCH_WORKLOADS.read_text()))
+    assert used
+    assert used - set(braidforce.__all__) == set()

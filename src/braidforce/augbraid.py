@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .braid import (
     DEFAULT_MAX_LETTERS,
     BraidWord,
+    _braid,
     _pure_letters,
     artin,
     braid_eq,
@@ -86,8 +87,8 @@ def section_word(b: BraidWord) -> BraidWord:
 
 
 def to_word(a: AugBraid) -> BraidWord:
-    """section(base) * phi(tail) as one braid word: every letter is checked once."""
-    return BraidWord(a.base.strands + 1, a.base.letters + _phi_letters(a.tail))
+    """section(base) * phi(tail) as one braid word, unchecked: a checked base and the spelling of a checked tail."""
+    return _braid(a.base.strands + 1, a.base.letters + _phi_letters(a.tail))
 
 
 def compose(a1: AugBraid, a2: AugBraid) -> AugBraid:

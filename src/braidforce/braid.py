@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, _format_letters, _parse_letters, apply, compose
+from .freegroup import FreeEndo, FreeWord, _format_letters, _is_int, _parse_letters, _reduce_letters, _word, apply
 
 DEFAULT_MAX_LETTERS = 128
 
@@ -35,10 +35,12 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.strands, int) or self.strands < 1:
+        if not _is_int(self.strands) or self.strands < 1:
             raise ValueError(f"strand count must be a positive integer, got {self.strands!r}")
+        if not isinstance(self.letters, tuple):
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) > self.strands - 1:
+            if not _is_int(k) or k == 0 or abs(k) > self.strands - 1:
                 raise ValueError(
                     f"letter {k!r} out of range for {self.strands} strands"
                 )
@@ -55,6 +57,14 @@ class BraidWord:
 
     def __repr__(self) -> str:
         return f"BraidWord({self.strands}, {format_braid(self)!r})"
+
+
+def _braid(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """A BraidWord built without checks, for letters already known to be in range for strands."""
+    b = object.__new__(BraidWord)
+    object.__setattr__(b, "strands", strands)
+    object.__setattr__(b, "letters", letters)
+    return b
 
 
 def braid_mul(b1: BraidWord, b2: BraidWord) -> BraidWord:
@@ -147,18 +157,22 @@ def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
 
     Image lengths can grow exponentially in the word length, so the fold
     aborts once any generator image exceeds max_letters; raise the cap
-    explicitly for long but tame words.
+    explicitly for long but tame words.  The images are folded as letter
+    tuples, each crossing substituted into every image, and become words
+    once, at the end.
     """
-    e = FreeEndo.identity(b.strands)
+    n = b.strands
+    images = [(k,) for k in range(1, n + 1)]
     for letter in b.letters:
-        e = compose(e, _letter_endo(b.strands, letter))
-        longest = max(len(w) for w in e.images)
+        table = _letter_endo(n, letter)._letter_images
+        images = [_reduce_letters(map(table.__getitem__, img)) for img in images]
+        longest = max(map(len, images))
         if longest > max_letters:
             raise WordTooLongError(
                 f"generator image grew to {longest} letters (cap {max_letters}); "
                 "pass a larger max_letters if this is intentional"
             )
-    return e
+    return FreeEndo(n, tuple(_word(n, img) for img in images))
 
 
 def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:

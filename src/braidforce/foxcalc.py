@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, concat, word_sort_key
+from .freegroup import FreeEndo, FreeWord, _word, concat, word_sort_key
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,8 @@ def fox(w: FreeWord, j: int) -> GroupRingElem:
             # -x_j^-1 sits after the prefix; w is reduced so no cancellation
             emit(prefix + [k], -1)
         prefix.append(k)
-    return GroupRingElem.from_terms(
-        w.rank, ((FreeWord(w.rank, key), c) for key, c in acc.items())
-    )
+    # every term is a prefix of the reduced word w, so it is reduced
+    return GroupRingElem.from_terms(w.rank, ((_word(w.rank, key), c) for key, c in acc.items()))
 
 
 def jacobian_diagonal(e: FreeEndo) -> tuple[GroupRingElem, ...]:

@@ -5,6 +5,14 @@ letter ``k`` (1 <= k <= n) denotes the generator x_k and ``-k`` denotes its
 inverse.  Every ``FreeWord`` is freely reduced by construction, so tuple
 equality is group-element equality.
 
+Validation happens at the boundary.  The public constructors (``FreeWord``,
+``reduce``, ``gen``, ``parse_word``) check the rank, every letter and every
+adjacent pair.  Words derived inside the package from already-checked words
+of the same rank, by operations that keep the letters in range and freely
+reduced (``concat``, ``invert``, ``apply``, ``cyclic_reduce``, the Artin
+images, Fox prefixes, orbit witnesses), are built unchecked through the
+private ``_word``.
+
 Endomorphisms are given by their generator images.  Composition is
 diagrammatic throughout this package: ``compose(e1, e2)`` applies ``e1``
 first, then ``e2``.
@@ -57,10 +65,12 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if not _is_int(self.rank) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        if not isinstance(self.letters, tuple):
+            raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for k in self.letters:
-            if not isinstance(k, int) or k == 0 or abs(k) > self.rank:
+            if not _is_int(k) or k == 0 or abs(k) > self.rank:
                 raise ValueError(f"letter {k!r} out of range for rank {self.rank}")
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
@@ -78,6 +88,23 @@ class FreeWord:
 
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {format_word(self)!r})"
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: the only type a rank, strand count, letter or bound may have."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
+    """A FreeWord built without checks.
+
+    Only for letters derived from checked words of the same rank by an
+    operation that keeps them in range and freely reduced.
+    """
+    w = object.__new__(FreeWord)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def reduce(rank: int, letters) -> FreeWord:
@@ -102,11 +129,11 @@ def concat(*words: FreeWord) -> FreeWord:
     for w in words:
         if w.rank != rank:
             raise ValueError(f"rank mismatch: {w.rank} != {rank}")
-    return FreeWord(rank, _reduce_letters(w.letters for w in words))
+    return _word(rank, _reduce_letters(w.letters for w in words))
 
 
 def invert(w: FreeWord) -> FreeWord:
-    return FreeWord(w.rank, tuple(-k for k in reversed(w.letters)))
+    return _word(w.rank, tuple(-k for k in reversed(w.letters)))
 
 
 def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
@@ -120,7 +147,7 @@ def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
     while len(letters) >= 2 and letters[0] == -letters[-1]:
         conj.append(letters[0])
         letters = letters[1:-1]
-    return FreeWord(w.rank, tuple(letters)), FreeWord(w.rank, tuple(conj))
+    return _word(w.rank, tuple(letters)), _word(w.rank, tuple(conj))
 
 
 def conjugator(w1: FreeWord, w2: FreeWord) -> FreeWord | None:
@@ -196,7 +223,7 @@ def apply(e: FreeEndo, w: FreeWord) -> FreeWord:
     """Image of w under e, freely reduced."""
     if w.rank != e.rank:
         raise ValueError("rank mismatch")
-    return FreeWord(e.rank, _reduce_letters(map(e._letter_images.__getitem__, w.letters)))
+    return _word(e.rank, _reduce_letters(map(e._letter_images.__getitem__, w.letters)))
 
 
 def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:

@@ -22,8 +22,10 @@ from .foxcalc import GroupRingElem, raw_trace
 from .freegroup import (
     FreeEndo,
     FreeWord,
+    _is_int,
     _letters_key,
     _reduce_letters,
+    _word,
     abelianize,
     apply,
     concat,
@@ -43,6 +45,8 @@ class SearchBounds:
     k_max: int = 6
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.radius) and _is_int(self.k_max)):
+            raise ValueError(f"bounds must be integers, got radius={self.radius!r}, k_max={self.k_max!r}")
         if self.radius < 0 or self.k_max < 0:
             raise ValueError("bounds must be nonnegative")
 
@@ -219,11 +223,12 @@ def _matches(ctx: TwistContext, w: FreeWord, targets, max_len: int):
     """Yield (alpha, word) for each orbit word theta(alpha) * w * alpha^-1 in targets, in walk order.
 
     The walk is _orbit's at the context's radius, bounded by max_len; each
-    hit is verified by substitution before it is yielded.
+    hit is verified by substitution before it is yielded.  alpha is built
+    one letter at a time, never undoing the last one, so it is reduced.
     """
     for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, max_len):
         if cand in targets:
-            a = FreeWord(ctx.rank, alpha)
+            a = _word(ctx.rank, alpha)
             if concat(apply(ctx.theta, a), w, invert(a)).letters != cand:
                 raise AssertionError("twisted conjugacy witness failed verification")
             yield a, cand
@@ -261,7 +266,7 @@ def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
             key = _letters_key(cand)
             if key < best_key:
                 best, best_key = cand, key
-    return FreeWord(ctx.rank, best)
+    return _word(ctx.rank, best)
 
 
 def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
@@ -418,6 +423,11 @@ class DegenerateFamily:
     strand: int
     conj: FreeWord
 
+    @functools.cached_property
+    def _exponents(self) -> tuple[int, ...]:
+        """abelianize(conj), computed once per family."""
+        return abelianize(self.conj)
+
 
 def _iterate(beta: BraidWord, m: int) -> FreeEndo:
     """theta: the m-th iterate of the Artin action of beta."""
@@ -463,7 +473,7 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
     saw_unknown = False
     for fam in families:
         top = ctx._cycle_top[fam.strand - 1]
-        gap = [t - c for t, c in zip(target, _cycle_sums(ctx, abelianize(fam.conj)))]
+        gap = [t - c for t, c in zip(target, _cycle_sums(ctx, fam._exponents))]
         k = gap[top]
         gap[top] = 0
         if any(gap) or abs(k) > k_max:

@@ -129,6 +129,13 @@ def test_to_word_golden_five_strand():
     assert braid_eq(to_word(a3), iota)
 
 
+def test_to_word_passes_the_public_check():
+    rng = random.Random(54)
+    for _ in range(60):
+        w = to_word(rand_aug(rng, rng.choice([2, 3, 4]), tail_len=6))
+        assert BraidWord(w.strands, w.letters) == w
+
+
 def test_from_word_golden_five_strand():
     iota = BraidWord(6, BETA5.letters)
     a = from_word(braid_mul(iota, pure_gen(1, 6, 6)))

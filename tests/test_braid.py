@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidforce import (
     BraidWord,
@@ -14,8 +15,16 @@ from braidforce import (
     perm,
     power,
 )
-from braidforce.freegroup import compose, gen
-from braidforce.braid import artin_apply, braid_invert, braid_mul, fixes_last_strand, pure_gen
+from braidforce.freegroup import FreeEndo, compose, gen
+from braidforce.braid import (
+    DEFAULT_MAX_LETTERS,
+    _letter_endo,
+    artin_apply,
+    braid_invert,
+    braid_mul,
+    fixes_last_strand,
+    pure_gen,
+)
 
 
 def rand_braid(rng, strands, max_len=6):
@@ -184,3 +193,50 @@ def test_format_braid_roundtrip():
     for _ in range(50):
         b = rand_braid(rng, 5)
         assert parse_braid(format_braid(b), 5) == b
+
+
+def test_braid_word_rejects_a_list_of_letters():
+    # a list would make the word unhashable and unequal to its tuple twin
+    with pytest.raises(ValueError):
+        BraidWord(3, [1])
+
+
+def test_braid_word_rejects_bools():
+    with pytest.raises(ValueError):
+        BraidWord(3, (True,))
+    with pytest.raises(ValueError):
+        BraidWord(True)
+
+
+def _artin_compose_fold(b, max_letters=DEFAULT_MAX_LETTERS):
+    """artin as one compose per letter, rebuilding every image: the reference."""
+    e = FreeEndo.identity(b.strands)
+    for letter in b.letters:
+        e = compose(e, _letter_endo(b.strands, letter))
+        longest = max(len(w) for w in e.images)
+        if longest > max_letters:
+            raise WordTooLongError(
+                f"generator image grew to {longest} letters (cap {max_letters}); "
+                "pass a larger max_letters if this is intentional"
+            )
+    return e
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(2, 5))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=14))))
+
+
+def _artin_outcome(fold, b, cap):
+    try:
+        return fold(b, cap)
+    except WordTooLongError as exc:
+        return ("refused", str(exc))
+
+
+@given(braid_words(), st.one_of(st.integers(1, 40), st.just(DEFAULT_MAX_LETTERS)))
+def test_artin_matches_compose_fold_reference(b, cap):
+    # small caps are hit often: the refusal, its letter and its message must agree
+    assert _artin_outcome(artin, b, cap) == _artin_outcome(_artin_compose_fold, b, cap)

@@ -24,6 +24,8 @@ from braidforce.freegroup import (
     word_sort_key,
 )
 from braidforce.freegroup import _reduce_letters
+from braidforce.foxcalc import fox
+from braidforce.braid import BraidWord, artin
 
 RANK = 4
 
@@ -126,6 +128,22 @@ def test_word_validation():
         FreeWord(2, (1, -1))  # not freely reduced
     with pytest.raises(ValueError):
         gen(2, 5)
+
+
+def test_word_rejects_a_list_of_letters():
+    # a list would make the word unhashable and unequal to its tuple twin
+    with pytest.raises(ValueError):
+        FreeWord(2, [1, 2])
+
+
+def test_word_rejects_bool_letters():
+    with pytest.raises(ValueError):
+        FreeWord(2, (True,))
+
+
+def test_word_rejects_a_bool_rank():
+    with pytest.raises(ValueError):
+        FreeWord(True, (1,))
 
 
 def test_gen_and_mul():
@@ -249,3 +267,26 @@ def test_parse_word_errors():
 def test_format_parse_roundtrip(letters):
     w = reduce(RANK, letters)
     assert parse_word(format_word(w), RANK) == w
+
+
+@st.composite
+def derived_words(draw):
+    """Every word the package derives from random checked inputs of one rank."""
+    rank = draw(st.integers(1, 4))
+    pool = [k for i in range(1, rank + 1) for k in (i, -i)]
+    words = st.lists(st.sampled_from(pool), max_size=12).map(lambda ls: reduce(rank, ls))
+    u, w = draw(words), draw(words)
+    e = FreeEndo(rank, tuple(draw(words) for _ in range(rank)))
+    braid_pool = [k for i in range(1, rank) for k in (i, -i)]
+    braid_letters = st.lists(st.sampled_from(braid_pool), max_size=8) if braid_pool else st.just([])
+    b = BraidWord(rank, tuple(draw(braid_letters)))
+    out = [apply(e, w), concat(u, w), concat(w, invert(w)), invert(w), *cyclic_reduce(concat(u, w, invert(u)))]
+    out += [t for j in range(1, rank + 1) for t, _ in fox(w, j).terms]
+    out += artin(b, max_letters=10_000).images
+    return out
+
+
+@given(derived_words())
+def test_derived_words_pass_the_public_check(words):
+    for w in words:
+        assert FreeWord(w.rank, w.letters) == w

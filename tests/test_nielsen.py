@@ -59,6 +59,14 @@ def rand_word(rng, rank, max_len):
     return reduce(rank, [rng.choice(pool) for _ in range(rng.randrange(max_len + 1))])
 
 
+def test_bounds_reject_non_integers():
+    # a float radius used to fail deep in the orbit walk with a TypeError
+    with pytest.raises(ValueError):
+        SearchBounds(2.5)
+    with pytest.raises(ValueError):
+        SearchBounds(3, True)
+
+
 def test_bounds_and_decision_validation():
     with pytest.raises(ValueError):
         SearchBounds(-1, 3)
@@ -616,6 +624,15 @@ def test_degenerate_families_match_braid_permutation_reference(data):
     beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=5))))
     m = data.draw(st.integers(1, 3))
     assert degenerate_families(beta, m) == _perm_families(beta, m)
+
+
+def test_family_exponents_leave_equality_and_hash_alone():
+    fams = degenerate_families(parse_braid("s1 s2^-1", 3), 3)
+    assert len(fams) == 3
+    before = [hash(fam) for fam in fams]
+    assert [fam._exponents for fam in fams] == [abelianize(fam.conj) for fam in fams]
+    assert [hash(fam) for fam in fams] == before
+    assert fams == _perm_families(parse_braid("s1 s2^-1", 3), 3)
 
 
 @pytest.mark.parametrize("images", [("x1 x1", "x2"), ("x2 x1 x2^-1", "x1")])

@@ -25,7 +25,7 @@ class GroupRingElem:
 
     def __post_init__(self) -> None:
         keys = [word_sort_key(w) for w, _ in self.terms]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("terms must be sorted by word with no duplicates")
         _check_terms(self.rank, self.terms)
 

@@ -48,8 +48,13 @@ def _reduce_letters(parts) -> tuple[int, ...]:
 
 
 def _letters_key(letters: tuple[int, ...]):
-    """word_sort_key on a raw letter tuple."""
-    return (len(letters), tuple((abs(k), 0 if k > 0 else 1) for k in letters))
+    """word_sort_key on a raw letter tuple.
+
+    Each letter is coded by one integer, x_k as 2k and x_k^-1 as 2k + 1, so
+    the codes order as (k, sign) pairs would.  The codes are a list, so a
+    key cannot be hashed.
+    """
+    return (len(letters), [k + k if k > 0 else 1 - k - k for k in letters])
 
 
 @dataclass(frozen=True)

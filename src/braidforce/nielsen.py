@@ -10,6 +10,14 @@ the exponent sum of each word over each strand cycle of theta.
 The raw Fox trace of theta is a formal sum of words; grouping its summands
 by twisted conjugacy and adding coefficients yields the merged trace whose
 nonzero classes are the essential ones.
+
+Each class is named by its canonical representative, the least word of its
+bounded orbit by word_sort_key.  The invariant fixes a floor for it: every
+letter adds +-1 to one cycle sum, so no word with invariant I is shorter
+than sum |I_c|, and among the words of that length the least takes |I_c|
+copies of the least strand of each cycle c, signed as I_c, in ascending
+order.  Orbit words keep the invariant, so no orbit word sorts below the
+floor, and a walk that reaches it can stop there with the exact result.
 """
 
 from __future__ import annotations
@@ -117,6 +125,14 @@ class TwistContext:
             tops.append(top - 1)
         return tuple(tops)
 
+    @functools.cached_property
+    def _cycle_least(self) -> tuple[tuple[int, int], ...]:
+        """(slot, least strand) of each strand cycle, in ascending order of least strand."""
+        least: dict[int, int] = {}
+        for i, top in enumerate(self._cycle_top, start=1):
+            least.setdefault(top, i)
+        return tuple(least.items())
+
 
 # ---------------------------------------------------------------------------
 # abelianized invariant: the exponent sum over each strand cycle
@@ -139,6 +155,25 @@ def _cycle_sums(ctx: TwistContext, exponents: tuple[int, ...]) -> tuple[int, ...
     for e, top in zip(exponents, ctx._cycle_top):
         sums[top] += e
     return tuple(sums)
+
+
+def _floor(ctx: TwistContext, invariant: tuple[int, ...]) -> tuple[int, ...]:
+    """The least word, by word_sort_key, with the given abelian invariant, as raw letters.
+
+    Each letter adds +-1 to exactly one cycle sum, so a word with invariant
+    I has at least sum |I_c| letters, and a word of just that length has
+    |I_c| letters from each cycle c, all of the sign of I_c.  Putting the
+    least strand j of its cycle in place of each letter, with the same
+    sign, raises no letter in the key's order, and those letters sort
+    least in ascending order of j; so no word with invariant I sorts below
+    this one.  No cycle gives both signs, so the word is reduced.
+    """
+    letters: tuple[int, ...] = ()
+    for slot, j in ctx._cycle_least:
+        s = invariant[slot]
+        if s:
+            letters += (j if s > 0 else -j,) * abs(s)
+    return letters
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +292,28 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
 
 @functools.lru_cache(maxsize=8192)
 def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
-    # the orbit starts with w itself; only a strictly smaller key replaces the
-    # best word, so ties keep the first, and longer words are never keyed
+    floor = _floor(ctx, abelian_invariant(ctx, w))
     best = w.letters
-    best_key = _letters_key(best)
+    if best == floor:
+        return w
+    # a shorter word wins on length alone; keys are built only to order two
+    # different words of the same length (whose keys differ), the best
+    # word's key at most once
+    best_key = None
     for _, cand in _orbit(ctx, w, ctx.bounds.radius, len(w)):
-        if len(cand) <= len(best):
+        if len(cand) == len(best) and cand != best:
+            if best_key is None:
+                best_key = _letters_key(best)
             key = _letters_key(cand)
-            if key < best_key:
-                best, best_key = cand, key
+            if key > best_key:
+                continue
+        elif len(cand) < len(best):
+            key = None
+        else:
+            continue
+        best, best_key = cand, key
+        if best == floor:
+            break
     return _word(ctx.rank, best)
 
 
@@ -273,13 +321,19 @@ def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
     """Least word, by word_sort_key, in the bounded twisted-conjugacy orbit of w.
 
     One streamed walk of the orbit (conjugators up to the search radius)
-    keeps the least word seen; only words no longer than the current best
-    are compared, and on a tie the first one found stays.  The walk is
-    bounded by len(w): the key orders by length first, so a longer word
-    never beats w, and it is not even built.  Results are
-    cached per context.  This is a display normal form, not a complete
+    keeps the least word seen.  The walk is bounded by len(w): the key
+    orders by length first, so a longer word never beats w, and it is not
+    even built.  Orbit words keep the abelian invariant I, so none sorts
+    below the least word with I, its floor (|I_c| copies of the least
+    strand of each cycle c, signed as I_c, in ascending order; see
+    _floor).  So a w at its floor is returned without a walk, and a walk
+    stops once it reaches the floor, with the full walk's result.  Results
+    are cached per context.  This is a display normal form, not a complete
     invariant: words of the same class canonicalize consistently only when
     the search radius reaches the connecting conjugator.
+
+    The context needs theta's strand permutation for the floor: for a theta
+    that has none, this raises ValueError, as twisted_conj and merge do.
     """
     if w.rank != ctx.rank:
         raise ValueError("rank mismatch")

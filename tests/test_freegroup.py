@@ -160,6 +160,18 @@ def test_word_sort_key_orders_by_length_then_letters():
     assert got == ["e", "x1", "x1^-1", "x2", "x1 x2", "x2 x1"]
 
 
+def _pair_key(w):
+    """word_sort_key with one (abs(k), sign) pair per letter: the reference."""
+    letters = w.letters
+    return (len(letters), tuple((abs(k), 0 if k > 0 else 1) for k in letters))
+
+
+@given(st.lists(st.lists(st.sampled_from([k for i in range(1, 12) for k in (i, -i)]), max_size=6), max_size=12))
+def test_word_sort_key_orders_as_the_pair_key(letter_lists):
+    ws = [reduce(11, letters) for letters in letter_lists]
+    assert sorted(ws, key=word_sort_key) == sorted(ws, key=_pair_key)
+
+
 def test_cyclic_reduce_golden():
     w = parse_word("x1 x2 x3 x2^-1 x1^-1", 3)
     core, conj = cyclic_reduce(w)

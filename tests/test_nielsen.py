@@ -42,9 +42,10 @@ from braidforce.freegroup import (
     word_sort_key,
 )
 from braidforce.foxcalc import augmentation
+from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
-from braidforce.nielsen import _joined_len, _orbit
+from braidforce.nielsen import _canonical_cached, _floor, _joined_len, _orbit
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -343,12 +344,13 @@ def _pairwise_merge(ctx, raw):
 
 
 @st.composite
-def small_twists(draw):
-    """A context for theta = beta^m with n <= 4, |beta| <= 4, m <= 2, radius 0-2."""
-    n = draw(st.integers(2, 4))
+def small_twists(draw, max_rank=4, radius=None):
+    """A context for theta = beta^m with n <= max_rank, |beta| <= 4, m <= 2, radius 0-2 unless given."""
+    n = draw(st.integers(2, max_rank))
     pool = [k for i in range(1, n) for k in (i, -i)]
     beta = BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=4))))
-    return ctx_for(beta, m=draw(st.integers(1, 2)), radius=draw(st.integers(0, 2)))
+    m = draw(st.integers(1, 2))
+    return ctx_for(beta, m=m, radius=draw(st.integers(0, 2)) if radius is None else radius)
 
 
 def words(rank, max_len):
@@ -391,17 +393,98 @@ def test_twisted_conj_is_symmetric_at_equal_radius(ctx, data):
         assert len(forward.witness) == len(backward.witness)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_twists(), st.data())
-def test_canonical_rep_is_least_orbit_word(ctx, data):
-    w = data.draw(words(ctx.rank, 4))
+def _orbit_min(ctx, w):
+    """The least word of w's orbit, by brute force over every conjugator within the radius: the reference."""
     pool = [k for i in range(1, ctx.rank + 1) for k in (i, -i)]
     orbit = {
         concat(apply(ctx.theta, a), w, invert(a))
         for size in range(ctx.bounds.radius + 1)
         for a in (reduce(ctx.rank, ls) for ls in itertools.product(pool, repeat=size))
     }
-    assert canonical_rep(ctx, w) == min(orbit, key=word_sort_key)
+    return min(orbit, key=word_sort_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twists(), st.data())
+def test_canonical_rep_is_least_orbit_word(ctx, data):
+    w = data.draw(words(ctx.rank, 4))
+    assert canonical_rep(ctx, w) == _orbit_min(ctx, w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_twists(max_rank=3, radius=0))
+def test_floor_is_the_least_word_of_its_invariant(ctx):
+    pool = [k for i in range(1, ctx.rank + 1) for k in (i, -i)]
+    least = {}
+    for size in range(5):
+        for ls in itertools.product(pool, repeat=size):
+            if any(a == -b for a, b in zip(ls, ls[1:])):
+                continue
+            w = FreeWord(ctx.rank, ls)
+            inv = abelian_invariant(ctx, w)
+            if inv not in least or word_sort_key(w) < word_sort_key(least[inv]):
+                least[inv] = w
+    # a word with invariant I has at least sum |I| letters, so for sum |I| <= 4
+    # the enumeration holds the least word with I
+    short = {inv: w for inv, w in least.items() if sum(map(abs, inv)) <= 4}
+    assert len(short) > 1
+    for inv, w in short.items():
+        assert _floor(ctx, inv) == w.letters
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_twists(max_rank=3, radius=3), st.data())
+def test_canonical_rep_is_least_orbit_word_at_radius_3(ctx, data):
+    # a floor word, a twisted conjugate of one (its walk can reach the floor
+    # and stop there), or any word
+    floor = FreeWord(ctx.rank, _floor(ctx, abelian_invariant(ctx, data.draw(words(ctx.rank, 4)))))
+    a = data.draw(words(ctx.rank, 3))
+    w = data.draw(
+        st.sampled_from([floor, concat(apply(ctx.theta, a), floor, invert(a)), data.draw(words(ctx.rank, 5))])
+    )
+    assert canonical_rep(ctx, w) == _orbit_min(ctx, w)
+
+
+@pytest.mark.parametrize(
+    "braid, n, m, w",
+    [
+        # at their floor
+        ("s1 s2 s3^-1 s4^-1", 5, 1, "e"),
+        ("s1", 2, 1, "x1 x1"),
+        # reach their floor partway through the walk; the first three
+        # improve more than once before they do
+        ("s1 s2 s3^-1 s4^-1", 5, 1, "x3^-1"),
+        ("s1 s1", 2, 1, "x1^-1 x2^-1 x1 x2"),
+        ("s1", 2, 1, "x2 x2"),
+        ("s1 s2^-1", 3, 2, "x1 x3 x2^-1"),
+        ("s1 s2 s3^-1 s4^-1", 5, 1, "x1 x2 x5 x2^-1 x1^-1"),
+        # improve more than once, never reaching the floor
+        ("s1 s2 s3^-1 s4^-1", 5, 1, "x5^-1 x5^-1"),
+        ("s1 s1", 2, 1, "x2 x1 x1 x2"),
+        ("s1 s2^-1", 3, 2, "x1 x3^-1 x3^-1"),
+        # least already, above the floor, with larger orbit words of the same length
+        ("s1 s2 s3^-1 s4^-1", 5, 1, "x2 x4"),
+        ("s1 s2^-1", 3, 2, "x1 x2^-1"),
+    ],
+)
+def test_canonical_rep_fixed_cases_match_brute_force(braid, n, m, w):
+    ctx = ctx_for(parse_braid(braid, n), m=m, radius=3)
+    word = parse_word(w, n)
+    assert canonical_rep(ctx, word) == _orbit_min(ctx, word)
+
+
+def test_floor_words_are_returned_without_a_walk(monkeypatch):
+    ctx = ctx_for(BETA5)
+    _canonical_cached.cache_clear()
+
+    def no_walk(*args):
+        raise AssertionError("a floor word walked its orbit")
+
+    monkeypatch.setattr(nielsen, "_orbit", no_walk)
+    for w in ("x1", "e"):
+        assert format_word(canonical_rep(ctx, parse_word(w, 5))) == w
+    with pytest.raises(AssertionError):
+        canonical_rep(ctx, parse_word("x5^-1", 5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -645,4 +728,7 @@ def test_context_without_strand_permutation_walks_orbits_only(images):
         abelian_invariant(ctx, u)
     with pytest.raises(ValueError):
         twisted_conj(ctx, u, u)
+    # canonical_rep needs the invariant for its floor
+    with pytest.raises(ValueError):
+        canonical_rep(ctx, u)
     _assert_bounded_orbit_filters_reference(ctx, u, 2)

@@ -19,6 +19,7 @@ on short words for 2 and 3 strands (the test suite keeps that check).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .braid import (
@@ -67,12 +68,27 @@ def act(b: BraidWord, u: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> Fr
     return apply(artin(braid_invert(b), max_letters), u)
 
 
+@functools.cache
+def _phi_spellings(n: int) -> tuple[tuple[int, ...], ...]:
+    """The spelling of phi of every letter of F_n, indexed by the letter; see _phi_letters."""
+    images = tuple(_pure_letters(k, n + 1) for k in range(1, n + 1))
+    inverses = tuple(_pure_letters(k, n + 1, -1) for k in range(n, 0, -1))
+    return ((),) + images + inverses
+
+
 def _phi_letters(u: FreeWord) -> tuple[int, ...]:
-    """The braid letters on rank+1 strands spelling phi(u), unchecked."""
-    n = u.rank
+    """The braid letters on rank+1 strands spelling phi(u), unchecked.
+
+    Each letter's spelling is looked up in the table of u's rank n,
+    `_phi_spellings(n)`, built on the first call at that rank and kept: the
+    letters of phi(x_k) = A_{k,n+1} at index k and of its inverse at index
+    -k.  The inverses are stored in reverse order so that negative indices
+    wrap, as in FreeEndo._letter_images.
+    """
+    spelling = _phi_spellings(u.rank)
     letters: list[int] = []
     for k in u.letters:
-        letters += _pure_letters(abs(k), n + 1, 1 if k > 0 else -1)
+        letters += spelling[k]
     return tuple(letters)
 
 

@@ -278,9 +278,29 @@ def _parse_letters(text: str, letter: str) -> tuple[int, ...]:
     return tuple(letters)
 
 
+class _Tokens(dict):
+    """Text tokens of signed letters over one generator letter, each built on its first lookup."""
+
+    def __init__(self, letter: str) -> None:
+        super().__init__()
+        self.letter = letter
+
+    def __missing__(self, k: int) -> str:
+        token = self[k] = f"{self.letter}{k}" if k > 0 else f"{self.letter}{-k}^-1"
+        return token
+
+
+_TOKENS = {"x": _Tokens("x"), "s": _Tokens("s")}
+
+
 def _format_letters(letters: tuple[int, ...], letter: str) -> str:
-    """The text form of signed letters over the generator letter; `e` when there are none."""
-    return " ".join(f"{letter}{k}" if k > 0 else f"{letter}{-k}^-1" for k in letters) or "e"
+    """The text form of signed letters over the generator letter `x` or `s`; `e` when there are none.
+
+    The tokens come from that generator letter's table in `_TOKENS`, which
+    holds `x<k>` or `x<k>^-1` for every letter printed so far: a token is
+    built on its letter's first lookup and kept for the life of the process.
+    """
+    return " ".join(map(_TOKENS[letter].__getitem__, letters)) or "e"
 
 
 def parse_word(text: str, rank: int) -> FreeWord:

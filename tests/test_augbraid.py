@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from braidforce import (
     AugBraid,
@@ -18,8 +19,9 @@ from braidforce import (
     to_word,
 )
 from braidforce.freegroup import apply, gen, reduce
-from braidforce.braid import braid_invert, braid_mul, fixes_last_strand, pure_gen
+from braidforce.braid import _pure_letters, braid_invert, braid_mul, fixes_last_strand, pure_gen
 from braidforce.augbraid import (
+    _phi_letters,
     act,
     compose as aug_compose,
     aug_eq,
@@ -69,6 +71,27 @@ def test_phi_word_spells_pure_generators():
             g = pure_gen(abs(k), n + 1, n + 1)
             expected += (g if k > 0 else braid_invert(g)).letters
         assert phi_word(u) == BraidWord(n + 1, tuple(expected))
+
+
+def ref_phi_letters(u: FreeWord) -> tuple[int, ...]:
+    """The braid letters on rank+1 strands spelling phi(u), unchecked."""
+    n = u.rank
+    letters: list[int] = []
+    for k in u.letters:
+        letters += _pure_letters(abs(k), n + 1, 1 if k > 0 else -1)
+    return tuple(letters)
+
+
+reduced_words = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(-n, n).filter(bool), max_size=30).map(lambda letters: reduce(n, letters))
+)
+
+
+@given(reduced_words)
+@example(FreeWord.identity(1))
+@example(FreeWord.identity(7))
+def test_phi_letters_match_reference(u):
+    assert _phi_letters(u) == ref_phi_letters(u)
 
 
 def test_phi_word_is_homomorphism():

@@ -3,10 +3,10 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidforce import BraidWord, FreeWord, format_braid, format_word, parse_braid, parse_word
-from braidforce.freegroup import reduce
+from braidforce.freegroup import _format_letters, reduce
 
 N = 12  # rank and strand count: room for the letter 10 in both kinds of word
 
@@ -61,6 +61,11 @@ def ref_parse_braid(text: str, strands: int) -> BraidWord:
                 raise ValueError("0 is not a valid braid letter")
             letters.append(k)
     return BraidWord(strands, tuple(letters))
+
+
+def ref_format_letters(letters: tuple[int, ...], letter: str) -> str:
+    """The text form of signed letters over the generator letter; `e` when there are none."""
+    return " ".join(f"{letter}{k}" if k > 0 else f"{letter}{-k}^-1" for k in letters) or "e"
 
 
 # ---------------------------------------------------------------------------
@@ -138,3 +143,22 @@ def test_both_kinds_share_signs_and_the_identity():
     assert format_word(parse_word("x2^-1 x10", N)) == "x2^-1 x10"
     assert format_braid(parse_braid("s2^-1 s10", N)) == "s2^-1 s10"
     assert format_word(parse_word("e", N)) == format_braid(parse_braid("", N)) == "e"
+
+
+signed_letters = st.lists(st.integers(-N, N).filter(bool), max_size=30).map(tuple)
+
+
+@settings(max_examples=400)
+@given(signed_letters, st.sampled_from(["x", "s"]))
+@example((), "x")
+@example((), "s")
+def test_format_letters_matches_reference(letters, letter):
+    assert _format_letters(letters, letter) == ref_format_letters(letters, letter)
+
+
+@given(signed_letters)
+def test_format_then_parse_round_trips(letters):
+    w = reduce(N, letters)
+    assert parse_word(format_word(w), N) == w
+    b = BraidWord(N, tuple(k for k in letters if abs(k) < N))
+    assert parse_braid(format_braid(b), N) == b

@@ -14,7 +14,8 @@ checking both orientations of the identity
 
     section(b) * phi(u)  ==  phi(act(b, u)) * section(b)
 
-on short words for 2 and 3 strands (the test suite keeps that check).
+on short words for 2 and 3 strands.  The test suite keeps that check in
+``test_act_satisfies_defining_identity``, against ``act`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .braid import (
     format_braid,
     parse_braid,
 )
-from .freegroup import FreeWord, apply, concat, cyclic_reduce, format_word, invert, parse_word, reduce
-from .nielsen import Decision, SearchBounds, TwistContext, twisted_conj
+from .freegroup import FreeWord, apply, cyclic_reduce, format_word, parse_word, reduce
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,6 @@ class AugBraid:
 
     def __repr__(self) -> str:
         return f"AugBraid({format_aug(self)!r})"
-
-
-def act(b: BraidWord, u: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeWord:
-    """Conjugation action of an included braid on the free normal subgroup.
-
-    act(b, u) is the tail word with section(b) * phi(u) * section(b)^-1
-    equal to phi(act(b, u)); it is the Artin action of the inverse braid.
-    """
-    return apply(artin(braid_invert(b), max_letters), u)
 
 
 @functools.cache
@@ -92,11 +83,6 @@ def _phi_letters(u: FreeWord) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def phi_word(u: FreeWord) -> BraidWord:
-    """The braid word on rank+1 strands spelling phi(u)."""
-    return BraidWord(u.rank + 1, _phi_letters(u))
-
-
 def section_word(b: BraidWord) -> BraidWord:
     """The same letters read on one more strand (the extra strand is idle)."""
     return BraidWord(b.strands + 1, b.letters)
@@ -105,25 +91,6 @@ def section_word(b: BraidWord) -> BraidWord:
 def to_word(a: AugBraid) -> BraidWord:
     """section(base) * phi(tail) as one braid word, unchecked: a checked base and the spelling of a checked tail."""
     return _braid(a.base.strands + 1, a.base.letters + _phi_letters(a.tail))
-
-
-def compose(a1: AugBraid, a2: AugBraid) -> AugBraid:
-    """Product in semidirect coordinates: the second base twists the first tail."""
-    if a1.punctures != a2.punctures:
-        raise ValueError("puncture count mismatch")
-    tail = concat(apply(artin(a2.base), a1.tail), a2.tail)
-    return AugBraid(braid_mul(a1.base, a2.base), tail)
-
-
-def aug_invert(a: AugBraid) -> AugBraid:
-    return AugBraid(braid_invert(a.base), act(a.base, invert(a.tail)))
-
-
-def aug_eq(a1: AugBraid, a2: AugBraid) -> bool:
-    """Equality of the group elements; coordinates are unique given the base."""
-    if a1.punctures != a2.punctures:
-        raise ValueError("puncture count mismatch")
-    return a1.tail == a2.tail and braid_eq(a1.base, a2.base)
 
 
 def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
@@ -172,20 +139,6 @@ def _delete_last_strand(w: BraidWord) -> BraidWord:
     if pos != w.strands:
         raise ValueError("braid does not fix the last strand")
     return BraidWord(w.strands - 1, tuple(out))
-
-
-def u_equiv(a1: AugBraid, a2: AugBraid, bounds: SearchBounds = SearchBounds()) -> Decision:
-    """Are a1, a2 conjugate by an element of the free normal subgroup?
-
-    Equal bases are necessary; the tails are then compared for twisted
-    conjugacy with twist the Artin action of the base itself.
-    """
-    if a1.punctures != a2.punctures:
-        raise ValueError("puncture count mismatch")
-    if not braid_eq(a1.base, a2.base):
-        return Decision("no", None, ("base_mismatch",))
-    ctx = TwistContext.create(artin(a1.base), bounds)
-    return twisted_conj(ctx, a1.tail, a2.tail)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, _format_letters, _is_int, _parse_letters, _reduce_letters, _word, apply
+from .freegroup import FreeEndo, FreeWord, _format_letters, _is_int, _parse_letters, _reduce_letters, _word
 
 DEFAULT_MAX_LETTERS = 128
 
@@ -91,6 +91,8 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.images, tuple):
+            raise ValueError(f"images must be a tuple, got {type(self.images).__name__}")
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
@@ -117,21 +119,6 @@ def perm(b: BraidWord) -> Permutation:
             elif pos[k] == i + 1:
                 pos[k] = i
     return Permutation(tuple(pos[1:]))
-
-
-def fixes_last_strand(b: BraidWord) -> bool:
-    return perm(b).apply(b.strands) == b.strands
-
-
-def pure_gen(i: int, j: int, strands: int) -> BraidWord:
-    """Standard pure braid generator A_ij, 1 <= i < j <= strands.
-
-    A_ij = s_{j-1} ... s_{i+1} s_i^2 s_{i+1}^-1 ... s_{j-1}^-1, the loop in
-    which strand j swings around strand i and returns.
-    """
-    if not (1 <= i < j <= strands):
-        raise ValueError(f"need 1 <= i < j <= strands, got ({i}, {j}, {strands})")
-    return BraidWord(strands, _pure_letters(i, j))
 
 
 def _pure_letters(i: int, j: int, sign: int = 1) -> tuple[int, ...]:
@@ -180,11 +167,6 @@ def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTER
     if b1.strands != b2.strands:
         raise ValueError("strand count mismatch")
     return artin(b1, max_letters) == artin(b2, max_letters)
-
-
-def artin_apply(b: BraidWord, w: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeWord:
-    """Image of a free word under the Artin action of b."""
-    return apply(artin(b, max_letters), w)
 
 
 # ---------------------------------------------------------------------------

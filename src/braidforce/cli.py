@@ -23,6 +23,7 @@ from .nielsen import (
     Decision,
     SearchBounds,
     TwistContext,
+    _check_iterate,
     _format_pairs,
     _iterate,
     degenerate_families,
@@ -143,6 +144,7 @@ def _cmd_action(args) -> tuple[int, dict | str]:
 
 def _cmd_perm(args) -> tuple[int, dict | str]:
     beta = parse_braid(args.braid, args.strands)
+    _check_iterate(args.m)
     p = perm(power(beta, args.m))
     if args.json:
         return 0, {**_head(args, beta), "perm": list(p.images)}

@@ -9,7 +9,6 @@ answer, and renders the result as text or a JSON document.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from .augbraid import AugBraid, format_aug, to_word
@@ -20,6 +19,7 @@ from .nielsen import (
     MergedTrace,
     SearchBounds,
     _analyse,
+    _check_iterate,
     _families,
     _format_pairs,
     abelian_invariant,
@@ -108,8 +108,7 @@ def is_forced(
     """
     if candidate.punctures != beta.strands:
         raise ValueError("puncture count mismatch")
-    if m < 1:
-        raise ValueError("iteration count m must be >= 1")
+    _check_iterate(m)
     if not braid_eq(candidate.base, power(beta, m)):
         return Decision("no", None, ("base_mismatch",))
     ctx, trace = _analyse(beta, m, bounds)
@@ -212,8 +211,3 @@ def report_json(report: ForcingReport) -> dict:
         "unresolved": _format_pairs(report.trace.unresolved),
         "exact": report.exact,
     }
-
-
-def report_json_text(report: ForcingReport) -> str:
-    """Stable serialization used for byte-for-byte determinism checks."""
-    return json.dumps(report_json(report), indent=2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, _word, concat, word_sort_key
+from .freegroup import FreeEndo, FreeWord, _word, word_sort_key
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,6 @@ def _check_terms(rank: int, terms) -> None:
             raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
 
 
-def gr_left_mul(w: FreeWord, a: GroupRingElem) -> GroupRingElem:
-    """w * a, multiplying every term on the left by the group element w."""
-    return GroupRingElem.from_terms(a.rank, ((concat(w, t), c) for t, c in a.terms))
-
-
-def gr_right_mul(a: GroupRingElem, w: FreeWord) -> GroupRingElem:
-    """a * w, multiplying every term on the right by the group element w."""
-    return GroupRingElem.from_terms(a.rank, ((concat(t, w), c) for t, c in a.terms))
-
-
-def augmentation(a: GroupRingElem) -> int:
-    """Sum of coefficients (image under the augmentation map to Z)."""
-    return sum(c for _, c in a.terms)
-
-
 def fox(w: FreeWord, j: int) -> GroupRingElem:
     """Fox derivative of w with respect to x_j.
 
@@ -135,16 +120,3 @@ def raw_trace(e: FreeEndo) -> GroupRingElem:
     for d in jacobian_diagonal(e):
         terms += ((w, -c) for w, c in d.terms)
     return GroupRingElem.from_terms(e.rank, terms)
-
-
-def format_ring(a: GroupRingElem) -> str:
-    """Render as e.g. `+1*[x1 x2^-1] -2*[e]`; the zero element is `0`."""
-    from .freegroup import format_word
-
-    if not a.terms:
-        return "0"
-    parts = []
-    for w, c in a.terms:
-        sign = "+" if c > 0 else "-"
-        parts.append(f"{sign}{abs(c)}*[{format_word(w)}]")
-    return " ".join(parts)

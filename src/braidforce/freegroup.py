@@ -6,8 +6,8 @@ inverse.  Every ``FreeWord`` is freely reduced by construction, so tuple
 equality is group-element equality.
 
 Validation happens at the boundary.  The public constructors (``FreeWord``,
-``reduce``, ``gen``, ``parse_word``) check the rank, every letter and every
-adjacent pair.  Words derived inside the package from already-checked words
+``reduce``, ``parse_word``) check the rank, every letter and every adjacent
+pair.  Words derived inside the package from already-checked words
 of the same rank, by operations that keep the letters in range and freely
 reduced (``concat``, ``invert``, ``apply``, ``cyclic_reduce``, the Artin
 images, Fox prefixes, orbit witnesses), are built unchecked through the
@@ -121,11 +121,6 @@ def reduce(rank: int, letters) -> FreeWord:
     return FreeWord(rank, _reduce_letters((k,) for k in letters))
 
 
-def gen(rank: int, k: int) -> FreeWord:
-    """The single-letter word x_k (or its inverse for negative k)."""
-    return FreeWord(rank, (k,))
-
-
 def concat(*words: FreeWord) -> FreeWord:
     """Product of words, freely reduced."""
     if not words:
@@ -207,11 +202,13 @@ class FreeEndo:
     images: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
-            raise ValueError(f"expected {self.rank} images, got {len(self.images)}")
+        if not _is_int(self.rank) or self.rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        if not isinstance(self.images, tuple) or len(self.images) != self.rank:
+            raise ValueError(f"expected a tuple of {self.rank} images, got {self.images!r}")
         for img in self.images:
-            if img.rank != self.rank:
-                raise ValueError("image rank mismatch")
+            if not isinstance(img, FreeWord) or img.rank != self.rank:
+                raise ValueError(f"images must be FreeWords of rank {self.rank}, got {img!r}")
 
     @classmethod
     def identity(cls, rank: int) -> FreeEndo:
@@ -246,16 +243,6 @@ def endo_power(e: FreeEndo, m: int) -> FreeEndo:
     for _ in range(m):
         acc = compose(acc, e)
     return acc
-
-
-def endo_matrix(e: FreeEndo) -> tuple[tuple[int, ...], ...]:
-    """Abelianized matrix M of e, as rows; column j is abelianize(images[j]).
-
-    The convention makes M act on column vectors compatibly with apply:
-    abelianize(apply(e, w)) == M @ abelianize(w).
-    """
-    cols = [abelianize(img) for img in e.images]
-    return tuple(tuple(cols[j][i] for j in range(e.rank)) for i in range(e.rank))
 
 
 # ---------------------------------------------------------------------------

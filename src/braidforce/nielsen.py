@@ -99,6 +99,10 @@ class TwistContext:
     theta: FreeEndo
     bounds: SearchBounds = SearchBounds()
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.theta, FreeEndo) and isinstance(self.bounds, SearchBounds)):
+            raise ValueError(f"need a FreeEndo and a SearchBounds, got {type(self.theta)}, {type(self.bounds)}")
+
     @classmethod
     def create(cls, theta: FreeEndo, bounds: SearchBounds = SearchBounds()) -> TwistContext:
         return cls(theta, bounds)
@@ -483,10 +487,15 @@ class DegenerateFamily:
         return abelianize(self.conj)
 
 
-def _iterate(beta: BraidWord, m: int) -> FreeEndo:
-    """theta: the m-th iterate of the Artin action of beta."""
+def _check_iterate(m: int) -> None:
+    """ValueError for an iteration count below 1: the one check of m for the pipeline, is_forced and the CLI."""
     if m < 1:
         raise ValueError("iteration count m must be >= 1")
+
+
+def _iterate(beta: BraidWord, m: int) -> FreeEndo:
+    """theta: the m-th iterate of the Artin action of beta."""
+    _check_iterate(m)
     return endo_power(artin(beta), m)
 
 

@@ -1,0 +1,134 @@
+"""Reference oracles for the test suite.
+
+Nothing in the package, the command line or the benchmark calls these
+helpers: each one exists to check another function against an independent
+spelling of the same thing (pure braid generators, the conjugation action
+on tails, products in Z[F_n] and in semidirect coordinates, the abelianized
+matrix of an endomorphism).  They were written against the package's
+conventions and are kept here unchanged, so a change to the package that
+moves a convention fails the tests that compare against them.
+"""
+
+from __future__ import annotations
+
+import json
+
+from braidforce.augbraid import AugBraid, _phi_letters
+from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, _pure_letters, artin, braid_eq, braid_invert, braid_mul, perm
+from braidforce.forcing import ForcingReport, report_json
+from braidforce.foxcalc import GroupRingElem
+from braidforce.freegroup import FreeEndo, FreeWord, abelianize, apply, concat, format_word
+
+# ---------------------------------------------------------------------------
+# braid
+
+
+def fixes_last_strand(b: BraidWord) -> bool:
+    return perm(b).apply(b.strands) == b.strands
+
+
+def pure_gen(i: int, j: int, strands: int) -> BraidWord:
+    """Standard pure braid generator A_ij, 1 <= i < j <= strands.
+
+    A_ij = s_{j-1} ... s_{i+1} s_i^2 s_{i+1}^-1 ... s_{j-1}^-1, the loop in
+    which strand j swings around strand i and returns.
+    """
+    if not (1 <= i < j <= strands):
+        raise ValueError(f"need 1 <= i < j <= strands, got ({i}, {j}, {strands})")
+    return BraidWord(strands, _pure_letters(i, j))
+
+
+def artin_apply(b: BraidWord, w: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeWord:
+    """Image of a free word under the Artin action of b."""
+    return apply(artin(b, max_letters), w)
+
+
+# ---------------------------------------------------------------------------
+# freegroup
+
+
+def gen(rank: int, k: int) -> FreeWord:
+    """The single-letter word x_k (or its inverse for negative k)."""
+    return FreeWord(rank, (k,))
+
+
+def endo_matrix(e: FreeEndo) -> tuple[tuple[int, ...], ...]:
+    """Abelianized matrix M of e, as rows; column j is abelianize(images[j]).
+
+    The convention makes M act on column vectors compatibly with apply:
+    abelianize(apply(e, w)) == M @ abelianize(w).
+    """
+    cols = [abelianize(img) for img in e.images]
+    return tuple(tuple(cols[j][i] for j in range(e.rank)) for i in range(e.rank))
+
+
+# ---------------------------------------------------------------------------
+# foxcalc
+
+
+def gr_left_mul(w: FreeWord, a: GroupRingElem) -> GroupRingElem:
+    """w * a, multiplying every term on the left by the group element w."""
+    return GroupRingElem.from_terms(a.rank, ((concat(w, t), c) for t, c in a.terms))
+
+
+def gr_right_mul(a: GroupRingElem, w: FreeWord) -> GroupRingElem:
+    """a * w, multiplying every term on the right by the group element w."""
+    return GroupRingElem.from_terms(a.rank, ((concat(t, w), c) for t, c in a.terms))
+
+
+def augmentation(a: GroupRingElem) -> int:
+    """Sum of coefficients (image under the augmentation map to Z)."""
+    return sum(c for _, c in a.terms)
+
+
+def format_ring(a: GroupRingElem) -> str:
+    """Render as e.g. `+1*[x1 x2^-1] -2*[e]`; the zero element is `0`."""
+    if not a.terms:
+        return "0"
+    parts = []
+    for w, c in a.terms:
+        sign = "+" if c > 0 else "-"
+        parts.append(f"{sign}{abs(c)}*[{format_word(w)}]")
+    return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# augbraid
+
+
+def act(b: BraidWord, u: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeWord:
+    """Conjugation action of an included braid on the free normal subgroup.
+
+    act(b, u) is the tail word with section(b) * phi(u) * section(b)^-1
+    equal to phi(act(b, u)); it is the Artin action of the inverse braid.
+    """
+    return apply(artin(braid_invert(b), max_letters), u)
+
+
+def phi_word(u: FreeWord) -> BraidWord:
+    """The braid word on rank+1 strands spelling phi(u)."""
+    return BraidWord(u.rank + 1, _phi_letters(u))
+
+
+def compose(a1: AugBraid, a2: AugBraid) -> AugBraid:
+    """Product in semidirect coordinates: the second base twists the first tail."""
+    if a1.punctures != a2.punctures:
+        raise ValueError("puncture count mismatch")
+    tail = concat(apply(artin(a2.base), a1.tail), a2.tail)
+    return AugBraid(braid_mul(a1.base, a2.base), tail)
+
+
+def aug_eq(a1: AugBraid, a2: AugBraid) -> bool:
+    """Equality of the group elements; coordinates are unique given the base."""
+    if a1.punctures != a2.punctures:
+        raise ValueError("puncture count mismatch")
+    return a1.tail == a2.tail and braid_eq(a1.base, a2.base)
+
+
+# ---------------------------------------------------------------------------
+# forcing
+
+
+def report_json_text(report: ForcingReport) -> str:
+    """Stable serialization used for byte-for-byte determinism checks."""
+    return json.dumps(report_json(report), indent=2)

@@ -37,12 +37,12 @@ from braidforce import (
     to_word,
     twisted_conj,
 )
-from braidforce.freegroup import apply, concat, gen, invert, reduce
-from braidforce.braid import braid_invert, braid_mul, pure_gen
-from braidforce.foxcalc import augmentation, fox, gr_right_mul
+from braidforce.freegroup import apply, concat, invert, reduce
+from braidforce.braid import braid_invert, braid_mul
+from braidforce.foxcalc import fox
 from braidforce.nielsen import is_degenerate
-from braidforce.augbraid import aug_eq, phi_word, section_word
-from braidforce.forcing import report_json_text
+from braidforce.augbraid import section_word
+from oracles import aug_eq, augmentation, gen, gr_right_mul, phi_word, pure_gen, report_json_text
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 IOTA5 = BraidWord(6, BETA5.letters)
@@ -209,7 +209,7 @@ def test_criterion_6_merge_conserves_augmentation():
 
 def test_criterion_7_action_calibration_and_decomposition():
     t0 = time.monotonic()
-    from braidforce.augbraid import act
+    from oracles import act
 
     # the action used for composing tails is pinned by the section identity
     for n in (2, 3):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from braidforce import (
     BraidWord,
+    Permutation,
     WordTooLongError,
     artin,
     braid_eq,
@@ -15,16 +16,14 @@ from braidforce import (
     perm,
     power,
 )
-from braidforce.freegroup import FreeEndo, compose, gen
+from braidforce.freegroup import FreeEndo, compose
 from braidforce.braid import (
     DEFAULT_MAX_LETTERS,
     _letter_endo,
-    artin_apply,
     braid_invert,
     braid_mul,
-    fixes_last_strand,
-    pure_gen,
 )
+from oracles import artin_apply, fixes_last_strand, gen, pure_gen
 
 
 def rand_braid(rng, strands, max_len=6):
@@ -206,6 +205,12 @@ def test_braid_word_rejects_bools():
         BraidWord(3, (True,))
     with pytest.raises(ValueError):
         BraidWord(True)
+
+
+def test_permutation_rejects_a_list_of_images():
+    # a list would make the permutation unhashable and unequal to its tuple twin
+    with pytest.raises(ValueError):
+        Permutation([2, 1])
 
 
 def _artin_compose_fold(b, max_letters=DEFAULT_MAX_LETTERS):

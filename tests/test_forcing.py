@@ -15,11 +15,11 @@ from braidforce import (
     parse_braid,
     parse_word,
 )
-from braidforce.braid import braid_invert, braid_mul, pure_gen
-from braidforce.augbraid import aug_eq
-from braidforce.forcing import report_json, report_json_text, report_text
+from braidforce.braid import braid_invert, braid_mul
+from braidforce.forcing import report_json, report_text
 from braidforce import nielsen
 from braidforce.cli import main
+from oracles import aug_eq, pure_gen, report_json_text
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 IOTA5 = BraidWord(6, BETA5.letters)
@@ -308,8 +308,9 @@ def test_cli_reports_failed_verification(monkeypatch, capsys):
     [
         ["twisted-conj", "-n", "2", "--braid", "s1", "-m", "0", "--word", "x1", "--word", "x2"],
         ["action", "-n", "2", "--braid", "s1", "-m", "0"],
+        ["perm", "-n", "2", "--braid", "s1", "-m", "0"],
     ],
-    ids=["twisted-conj", "action"],
+    ids=["twisted-conj", "action", "perm"],
 )
 def test_cli_rejects_zero_iterate(argv, capsys):
     assert main(argv) == 2

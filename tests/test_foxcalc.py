@@ -10,15 +10,9 @@ from braidforce import (
     parse_word,
     raw_trace,
 )
-from braidforce.freegroup import concat, gen, invert, reduce
-from braidforce.foxcalc import (
-    augmentation,
-    format_ring,
-    fox,
-    gr_left_mul,
-    gr_right_mul,
-    jacobian_diagonal,
-)
+from braidforce.freegroup import concat, invert, reduce
+from braidforce.foxcalc import fox, jacobian_diagonal
+from oracles import augmentation, format_ring, gen, gr_left_mul, gr_right_mul
 
 
 def rand_word(rng, rank=3, max_len=10):

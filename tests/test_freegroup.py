@@ -17,8 +17,6 @@ from braidforce.freegroup import (
     concat,
     conjugator,
     cyclic_reduce,
-    endo_matrix,
-    gen,
     invert,
     reduce,
     word_sort_key,
@@ -26,6 +24,7 @@ from braidforce.freegroup import (
 from braidforce.freegroup import _reduce_letters
 from braidforce.foxcalc import fox
 from braidforce.braid import BraidWord, artin
+from oracles import endo_matrix, gen
 
 RANK = 4
 
@@ -144,6 +143,25 @@ def test_word_rejects_bool_letters():
 def test_word_rejects_a_bool_rank():
     with pytest.raises(ValueError):
         FreeWord(True, (1,))
+
+
+def test_endo_rejects_a_bool_or_non_integer_rank():
+    with pytest.raises(ValueError):
+        FreeEndo(True, (FreeWord(1, (1,)),))
+    with pytest.raises(ValueError):
+        FreeEndo(1.0, (FreeWord(1, (1,)),))
+
+
+def test_endo_rejects_a_list_of_images():
+    # a list made the endomorphism unhashable, so a twist context over it
+    # failed in canonical_rep's cache with a TypeError
+    with pytest.raises(ValueError):
+        FreeEndo(2, [FreeWord(2, (2,)), FreeWord(2, (1,))])
+
+
+def test_endo_rejects_images_that_are_not_words():
+    with pytest.raises(ValueError):
+        FreeEndo(1, ((1,),))
 
 
 def test_gen_and_mul():

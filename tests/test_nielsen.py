@@ -35,17 +35,15 @@ from braidforce.freegroup import (
     apply,
     concat,
     conjugator,
-    endo_matrix,
-    gen,
     invert,
     reduce,
     word_sort_key,
 )
-from braidforce.foxcalc import augmentation
 from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
 from braidforce.nielsen import _canonical_cached, _floor, _joined_len, _orbit
+from oracles import augmentation, endo_matrix, gen
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -66,6 +64,16 @@ def test_bounds_reject_non_integers():
         SearchBounds(2.5)
     with pytest.raises(ValueError):
         SearchBounds(3, True)
+
+
+def test_twist_context_rejects_a_theta_that_is_not_an_endomorphism():
+    with pytest.raises(ValueError):
+        TwistContext("abc")
+
+
+def test_twist_context_rejects_bounds_that_are_not_search_bounds():
+    with pytest.raises(ValueError):
+        TwistContext(FreeEndo.identity(2), (5, 6))
 
 
 def test_bounds_and_decision_validation():

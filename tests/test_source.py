@@ -1,6 +1,7 @@
 """Source-level checks on the package itself."""
 
 import ast
+import doctest
 import re
 import types
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import braidforce
 
 PACKAGE = Path(braidforce.__file__).resolve().parent
-BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def test_no_assert_statements_in_package():
@@ -60,3 +62,52 @@ def test_bench_workloads_use_only_exported_names():
     used = set(re.findall(r"\bbf\.(\w+)", BENCH_WORKLOADS.read_text()))
     assert used
     assert used - set(braidforce.__all__) == set()
+
+
+
+def test_every_unexported_public_definition_has_a_caller():
+    # a public top-level def or class outside __all__ must be used by other
+    # package code, by the benchmark or by the README's examples; a use
+    # inside a definition that fails this check does not count, so code that
+    # only such definitions call fails it too
+    defined = set()  # (module, name)
+    uses = []  # (user, used): the (module, top-level name) of each side; module-level code is name None
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name: (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for node in tree.body:
+            name = getattr(node, "name", None)  # set on def and class statements only
+            if name and not name.startswith("_") and name not in braidforce.__all__:
+                defined.add((module, name))
+            uses += (
+                ((module, name), imported.get(ref.id, (module, ref.id)))
+                for ref in ast.walk(node)
+                if isinstance(ref, ast.Name)
+            )
+    sources = [(path.read_text(), path.name) for path in sorted((ROOT / "bench").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    sources += [(ex.source, "README.md") for ex in doctest.DocTestParser().get_examples(readme)]
+    named_outside = set()
+    for text, filename in sources:
+        for ref in ast.walk(ast.parse(text, filename=filename)):
+            if isinstance(ref, ast.Name):
+                named_outside.add(ref.id)
+            elif isinstance(ref, ast.Attribute):
+                named_outside.add(ref.attr)
+            elif isinstance(ref, ast.alias):
+                named_outside.add(ref.asname or ref.name)
+    dead = set()
+    while True:
+        live = {used for user, used in uses if user != used and user not in dead}
+        found = {key for key in defined if key not in live and key[1] not in named_outside}
+        if found == dead:
+            break
+        dead = found
+    unreferenced = sorted(f"{module}.{name}" for module, name in dead)
+    assert not unreferenced, "no caller outside the tests: " + ", ".join(unreferenced)

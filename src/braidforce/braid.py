@@ -94,7 +94,8 @@ class Permutation:
         if not isinstance(self.images, tuple):
             raise ValueError(f"images must be a tuple, got {type(self.images).__name__}")
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        # a bool or float image compares equal to an int: counted as 0, it is never in 1..n
+        if sorted([k if _is_int(k) else 0 for k in self.images]) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     def apply(self, k: int) -> int:

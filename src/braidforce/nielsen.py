@@ -365,12 +365,13 @@ class MergedTrace:
 
 
 class _Class:
-    """A twisted class under construction: its summands in merge order and their coefficient sum."""
+    """A twisted class under construction: its coefficient sum and its summands in merge order,
+    each as (raw-term position, word)."""
 
     __slots__ = ("members", "coeff")
 
-    def __init__(self, w: FreeWord, c: int) -> None:
-        self.members = [w]
+    def __init__(self, i: int, w: FreeWord, c: int) -> None:
+        self.members = [(i, w)]
         self.coeff = c
 
 
@@ -387,7 +388,7 @@ def _classes_hit(ctx: TwistContext, w: FreeWord, bucket: list[_Class], owner: di
     can reach, so a longer orbit word is never built.
     """
     hit: set[_Class] = set()
-    longest = max(len(m) for cl in bucket for m in cl.members)
+    longest = max(len(m) for cl in bucket for _, m in cl.members)
     for _, cand in _matches(ctx, w, owner, longest):
         hit.add(owner[cand])
         if len(hit) == len(bucket):
@@ -408,14 +409,22 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
     classes are Unknown: they are reported as unresolved, so the result is
     only exact when unresolved is empty.  Classes whose coefficients cancel
     are dropped.
+
+    Each unresolved pair is (first member of a class, new summand), kept as
+    their raw-term positions.  Raw terms are sorted strictly by
+    word_sort_key, so sorting the positions orders members and pairs as
+    their words' keys would, without building a key of a long word.  No
+    pair repeats: each summand is visited once, the classes of its bucket
+    are distinct and so are their first members (every raw term starts or
+    joins one class), and bridging keeps the target's first member.
     """
     if raw.rank != ctx.rank:
         raise ValueError("rank mismatch")
     classes: list[_Class] = []
     buckets: dict[tuple[int, ...], list[_Class]] = {}
     owner: dict[tuple[int, ...], _Class] = {}
-    unresolved: set[tuple[FreeWord, FreeWord]] = set()
-    for w, c in raw.terms:
+    unresolved: list[tuple[int, int]] = []
+    for i, (w, c) in enumerate(raw.terms):
         bucket = buckets.setdefault(abelian_invariant(ctx, w), [])
         hits = _classes_hit(ctx, w, bucket, owner) if bucket else []
         if hits:
@@ -427,27 +436,27 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
                 bucket.remove(other)
                 target.members.extend(other.members)
                 target.coeff += other.coeff
-                for member in other.members:
+                for _, member in other.members:
                     owner[member.letters] = target
-            target.members.append(w)
+            target.members.append((i, w))
             target.coeff += c
         else:
             for cl in bucket:
-                unresolved.add((cl.members[0], w))
-            target = _Class(w, c)
+                unresolved.append((cl.members[0][0], i))
+            target = _Class(i, w, c)
             classes.append(target)
             bucket.append(target)
         owner[w.letters] = target
-    key = functools.cache(word_sort_key)  # one key per distinct word, for all four sorts
+    key = functools.cache(word_sort_key)  # one key per distinct representative
     summands = []
     for cl in classes:
         if cl.coeff == 0:
             continue
-        members = tuple(sorted(cl.members, key=key))
+        members = tuple(m for _, m in sorted(cl.members))
         rep = min((canonical_rep(ctx, m) for m in members), key=key)
         summands.append(TraceSummand(cl.coeff, rep, members))
     summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, key(s.representative)))
-    pairs = tuple(sorted(unresolved, key=lambda p: (key(p[0]), key(p[1]))))
+    pairs = tuple((raw.terms[a][0], raw.terms[b][0]) for a, b in sorted(unresolved))
     return MergedTrace(ctx.rank, tuple(summands), pairs)
 
 
@@ -465,9 +474,16 @@ def format_trace(mt: MergedTrace) -> str:
 
 
 def _format_pairs(pairs: tuple[tuple[FreeWord, FreeWord], ...]) -> list[list[str]]:
-    """The two words of each pair, formatted; a word that recurs across pairs is formatted once."""
-    names = {w: format_word(w) for w in {w for pair in pairs for w in pair}}
-    return [[names[a], names[b]] for a, b in pairs]
+    """The two words of each pair, formatted; a word object that recurs across pairs is formatted once.
+
+    The memo is keyed by object identity, so no long word is hashed: merge
+    puts the same raw-term object into every pair of a member.  Equal words
+    that are different objects are formatted once each, to the same string.
+    The pairs hold every word alive, so no identity is reused meanwhile.
+    """
+    words = {id(w): w for pair in pairs for w in pair}
+    names = {k: format_word(w) for k, w in words.items()}
+    return [[names[id(a)], names[id(b)]] for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,13 @@ def test_permutation_rejects_a_list_of_images():
         Permutation([2, 1])
 
 
+@pytest.mark.parametrize("images", [(True, 2), (2, True), (1.0, 2), (2, 1.0)])
+def test_permutation_rejects_bool_and_float_images(images):
+    # each equals an int image, so a sort alone would accept it
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation(images)
+
+
 def _artin_compose_fold(b, max_letters=DEFAULT_MAX_LETTERS):
     """artin as one compose per letter, rebuilding every image: the reference."""
     e = FreeEndo.identity(b.strands)

@@ -42,7 +42,7 @@ from braidforce.freegroup import (
 from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
-from braidforce.nielsen import _canonical_cached, _floor, _joined_len, _orbit
+from braidforce.nielsen import _canonical_cached, _floor, _format_pairs, _joined_len, _orbit
 from oracles import augmentation, endo_matrix, gen
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
@@ -225,6 +225,19 @@ def test_merge_bridges_classes_into_the_first():
     assert [(format_word(u), format_word(v)) for u, v in mt.unresolved] == [(words[0], words[1]), (words[0], words[4])]
 
 
+def test_merge_sorts_members_merged_by_a_bridge():
+    # x3^-1 x3^-1 starts a second class and x3 x2^-1 x1^-1 x2^-1 then joins
+    # the first; x3^-1 x2^-1 x1^-1 x2 bridges them, so the bridged class holds
+    # its members out of word order until merge sorts them
+    ctx = ctx_for(parse_braid("s2^-1 s1^-1", 3), radius=1)
+    words = ["x2^-1 x1^-1", "x3^-1 x3^-1", "x3 x2^-1 x1^-1 x2^-1", "x3^-1 x2^-1 x1^-1 x2", "x3^-1 x3^-1 x2^-1 x1^-1 x2 x2"]
+    raw = GroupRingElem.from_terms(3, [(parse_word(w, 3), 1) for w in words])
+    mt = merge(ctx, raw)
+    assert format_trace(mt) == "+5*[x1^-1 x1^-1]"
+    assert [format_word(m) for m in mt.summands[0].members] == words
+    assert [(format_word(u), format_word(v)) for u, v in mt.unresolved] == [(words[0], words[1])]
+
+
 def test_merge_conserves_augmentation():
     rng = random.Random(43)
     for _ in range(40):
@@ -386,6 +399,30 @@ def test_merge_matches_pairwise_reference_on_conjugate_families(ctx, data):
         terms.append((u, 1))
     raw = GroupRingElem.from_terms(ctx.rank, terms)
     assert merge(ctx, raw) == _pairwise_merge(ctx, raw)
+
+
+@pytest.fixture(scope="module")
+def many_pairs():
+    """The unresolved pairs of s1 s2^-1 at m=4, radius 1, which share members."""
+    return reidemeister_trace(parse_braid("s1 s2^-1", 3), 4, SearchBounds(radius=1)).unresolved
+
+
+def test_many_pair_trace_has_no_repeated_pair_and_sorts_by_word_keys(many_pairs):
+    pairs = many_pairs
+    assert len(pairs) == 134
+    assert len(set(pairs)) == len(pairs)
+    keys = [(word_sort_key(a), word_sort_key(b)) for a, b in pairs]
+    assert all(k < k_next for k, k_next in zip(keys, keys[1:]))
+
+
+def test_format_pairs_matches_format_word(many_pairs):
+    assert _format_pairs(many_pairs) == [[format_word(a), format_word(b)] for a, b in many_pairs]
+    # equal words that are different objects format alike
+    a, b = FreeWord(3, (1, -2, 3)), FreeWord(3, (2,))
+    a2, b2 = parse_word("x1 x2^-1 x3", 3), parse_word("x2", 3)
+    assert a == a2 and a is not a2 and b == b2 and b is not b2
+    pairs = ((a, b), (b2, a2), (a2, b), (a, a2))
+    assert _format_pairs(pairs) == [[format_word(u), format_word(v)] for u, v in pairs]
 
 
 @settings(max_examples=80, deadline=None)

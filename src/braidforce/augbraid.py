@@ -15,7 +15,8 @@ checking both orientations of the identity
     section(b) * phi(u)  ==  phi(act(b, u)) * section(b)
 
 on short words for 2 and 3 strands.  The test suite keeps that check in
-``test_act_satisfies_defining_identity``, against ``act`` in ``tests/oracles.py``.
+``test_act_satisfies_defining_identity``, against ``act`` and
+``section_word`` (the base read on one more strand) in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,19 +24,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .braid import (
-    DEFAULT_MAX_LETTERS,
-    BraidWord,
-    _braid,
-    _pure_letters,
-    artin,
-    braid_eq,
-    braid_invert,
-    braid_mul,
-    format_braid,
-    parse_braid,
-)
-from .freegroup import FreeWord, apply, cyclic_reduce, format_word, parse_word, reduce
+from .braid import DEFAULT_MAX_LETTERS, BraidWord, _braid, _pure_letters, artin, format_braid, parse_braid
+from .freegroup import FreeWord, _conjugator_of, apply, format_word, parse_word, reduce
 
 
 @dataclass(frozen=True)
@@ -83,11 +73,6 @@ def _phi_letters(u: FreeWord) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def section_word(b: BraidWord) -> BraidWord:
-    """The same letters read on one more strand (the extra strand is idle)."""
-    return BraidWord(b.strands + 1, b.letters)
-
-
 def to_word(a: AugBraid) -> BraidWord:
     """section(base) * phi(tail) as one braid word, unchecked: a checked base and the spelling of a checked tail."""
     return _braid(a.base.strands + 1, a.base.letters + _phi_letters(a.tail))
@@ -96,11 +81,13 @@ def to_word(a: AugBraid) -> BraidWord:
 def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
     """Recover semidirect coordinates from a braid word fixing the last strand.
 
-    The base is read off by deleting the last strand.  The leftover pure
-    part acts on x_{n+1} by conjugation; deleting every x_{n+1} letter from
-    the conjugating word (the action threads the base point loop through
-    it) leaves exactly the tail.  The result is verified against w before
-    it is returned.
+    The base is read off by deleting the last strand.  The pure part
+    section(base)^-1 * w acts on x_{n+1} by conjugation, and so does w
+    itself, to the same image: the section uses only s_1 ... s_{n-1}, which
+    fix x_{n+1}.  So the image of x_{n+1} is read off w's own Artin action,
+    and deleting every x_{n+1} letter from its conjugating word (the action
+    threads the base point loop through it) leaves exactly the tail.  The
+    result is verified against that action before it is returned.
     """
     if w.strands < 2:
         raise ValueError("need at least 2 strands to split off the last one")
@@ -108,14 +95,13 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
         raise ValueError(f"input word has {len(w.letters)} letters (cap {max_letters})")
     n = w.strands - 1
     base = _delete_last_strand(w)
-    rest = braid_mul(braid_invert(section_word(base)), w)
-    image = apply(artin(rest, max_letters=max_letters), FreeWord(n + 1, (n + 1,)))
-    core, conj = cyclic_reduce(image)
-    if core.letters != (n + 1,):
+    action = artin(w, max_letters)
+    conj = _conjugator_of(apply(action, FreeWord(n + 1, (n + 1,))), n + 1)
+    if conj is None:
         raise AssertionError("pure part does not conjugate the last-strand generator")
     tail = reduce(n, (k for k in conj.letters if abs(k) != n + 1))
     result = AugBraid(base, tail)
-    if not braid_eq(to_word(result), w, max_letters=max_letters):
+    if artin(to_word(result), max_letters) != action:
         raise AssertionError("decomposition failed verification")
     return result
 

@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .augbraid import AugBraid, format_aug, to_word
-from .braid import BraidWord, braid_eq, format_braid, power
+from .braid import BraidWord, artin, format_braid, power
 from .freegroup import FreeWord, format_word
 from .nielsen import (
     Decision,
     MergedTrace,
     SearchBounds,
     _analyse,
-    _check_iterate,
     _families,
     _format_pairs,
+    _iterate,
     abelian_invariant,
     format_trace,
     is_degenerate,
@@ -69,7 +69,7 @@ def forced_set(
     realized on the boundary.  exact is False whenever any Unknown decision
     could have changed the answer.
     """
-    ctx, trace = _analyse(beta, m, bounds)
+    ctx, trace = _analyse(_iterate(beta, m), bounds)
     families = _families(ctx)
     base = power(beta, m)
     identity = FreeWord(beta.strands)
@@ -101,17 +101,18 @@ def is_forced(
 ) -> Decision:
     """Decide whether the candidate is one of the braids forced by beta^m.
 
-    The base must equal beta^m as a braid; the tail is then matched against
-    the essential class representatives.  Hitting a degenerate class is a
-    definite No, while exhausted searches or unresolved class splits give
-    Unknown.
+    The base must equal beta^m as a braid: its Artin action must be theta,
+    the m-th iterate of beta's, which is folded once and then also feeds
+    the pipeline.  The tail is then matched against the essential class
+    representatives.  Hitting a degenerate class is a definite No, while
+    exhausted searches or unresolved class splits give Unknown.
     """
     if candidate.punctures != beta.strands:
         raise ValueError("puncture count mismatch")
-    _check_iterate(m)
-    if not braid_eq(candidate.base, power(beta, m)):
+    theta = _iterate(beta, m)
+    if artin(candidate.base) != theta:
         return Decision("no", None, ("base_mismatch",))
-    ctx, trace = _analyse(beta, m, bounds)
+    ctx, trace = _analyse(theta, bounds)
     families = _families(ctx)
     fuzzy = {w for pair in trace.unresolved for w in pair}
     saw_unknown = bool(trace.unresolved)

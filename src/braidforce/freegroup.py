@@ -9,9 +9,9 @@ Validation happens at the boundary.  The public constructors (``FreeWord``,
 ``reduce``, ``parse_word``) check the rank, every letter and every adjacent
 pair.  Words derived inside the package from already-checked words
 of the same rank, by operations that keep the letters in range and freely
-reduced (``concat``, ``invert``, ``apply``, ``cyclic_reduce``, the Artin
-images, Fox prefixes, orbit witnesses), are built unchecked through the
-private ``_word``.
+reduced (``concat``, ``invert``, ``apply``, ``_conjugator_of``, the
+Artin images, Fox prefixes, orbit witnesses), are built unchecked through
+the private ``_word``.
 
 Endomorphisms are given by their generator images.  Composition is
 diagrammatic throughout this package: ``compose(e1, e2)`` applies ``e1``
@@ -136,45 +136,18 @@ def invert(w: FreeWord) -> FreeWord:
     return _word(w.rank, tuple(-k for k in reversed(w.letters)))
 
 
-def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
-    """Split w as conj * core * conj^-1 with core cyclically reduced.
+def _conjugator_of(w: FreeWord, k: int) -> FreeWord | None:
+    """The word c with w = c * x_k * c^-1, or None when w is no conjugate of x_k.
 
-    Returns (core, conj).  For a cyclically reduced word the conjugating
-    part is empty.
+    In a reduced conjugate of one letter nothing cancels, so w spells c,
+    then x_k, then c^-1: c is the first half of w.  The comparison covers
+    every letter of w, so a word that is returned is verified.
     """
-    letters = list(w.letters)
-    conj: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        conj.append(letters[0])
-        letters = letters[1:-1]
-    return _word(w.rank, tuple(letters)), _word(w.rank, tuple(conj))
-
-
-def conjugator(w1: FreeWord, w2: FreeWord) -> FreeWord | None:
-    """A word c with w2 = c * w1 * c^-1, or None if not conjugate.
-
-    Conjugacy in a free group holds exactly when the cyclically reduced
-    cores are cyclic rotations of each other; the witness is assembled
-    from the two conjugating parts and the rotation, then checked by
-    substitution before being returned.
-    """
-    if w1.rank != w2.rank:
-        raise ValueError("rank mismatch")
-    core1, c1 = cyclic_reduce(w1)
-    core2, c2 = cyclic_reduce(w2)
-    if len(core1) != len(core2):
+    h = len(w.letters) // 2
+    c = w.letters[:h]
+    if w.letters[h:] != (k,) + tuple(-j for j in reversed(c)):
         return None
-    if not core1.letters:
-        return FreeWord(w1.rank)
-    u = core1.letters
-    for r in range(len(u)):
-        if u[r:] + u[:r] == core2.letters:
-            shift = FreeWord(w1.rank, u[r:]) if r else FreeWord(w1.rank)
-            c = concat(c2, shift, invert(c1))
-            if concat(c, w1, invert(c)) != w2:
-                raise AssertionError("conjugator failed verification")
-            return c
-    return None
+    return _word(w.rank, c)
 
 
 def abelianize(w: FreeWord) -> tuple[int, ...]:

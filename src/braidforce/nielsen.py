@@ -30,6 +30,7 @@ from .foxcalc import GroupRingElem, raw_trace
 from .freegroup import (
     FreeEndo,
     FreeWord,
+    _conjugator_of,
     _is_int,
     _letters_key,
     _reduce_letters,
@@ -37,7 +38,6 @@ from .freegroup import (
     abelianize,
     apply,
     concat,
-    conjugator,
     endo_power,
     format_word,
     invert,
@@ -504,7 +504,9 @@ class DegenerateFamily:
 
 
 def _check_iterate(m: int) -> None:
-    """ValueError for an iteration count below 1: the one check of m for the pipeline, is_forced and the CLI."""
+    """ValueError unless m is an int (not a bool) of at least 1: the one check of m, run by _iterate and the CLI's perm."""
+    if not _is_int(m):
+        raise ValueError(f"iteration count m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("iteration count m must be >= 1")
 
@@ -524,8 +526,7 @@ def _families(ctx: TwistContext) -> tuple[DegenerateFamily, ...]:
     """One family per fixed strand of theta, in ascending order."""
     fams = []
     for i in ctx._strand_perm.fixed_points():
-        x_i = FreeWord(ctx.rank, (i,))
-        lam = conjugator(x_i, apply(ctx.theta, x_i))
+        lam = _conjugator_of(apply(ctx.theta, FreeWord(ctx.rank, (i,))), i)
         if lam is None:  # braid images are conjugates of generators
             raise AssertionError(f"image of x{i} is not a conjugate of x{i}")
         fams.append(DegenerateFamily(i, lam))
@@ -571,16 +572,17 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
 # merge by twisted conjugacy
 
 
-def _analyse(beta: BraidWord, m: int, bounds: SearchBounds) -> tuple[TwistContext, MergedTrace]:
-    """The forcing pipeline up to the merged trace: the context of theta and its merged trace.
+def _analyse(theta: FreeEndo, bounds: SearchBounds) -> tuple[TwistContext, MergedTrace]:
+    """The forcing pipeline after the Artin action: the context of theta and its merged trace.
 
-    Callers that judge degeneracy take theta's families from _families(ctx).
+    theta is the iterate _iterate(beta, m), which its caller has already
+    folded: is_forced also compares it with the candidate's base.  Callers
+    that judge degeneracy take theta's families from _families(ctx).
     """
-    theta = _iterate(beta, m)
     ctx = TwistContext.create(theta, bounds)
     return ctx, merge(ctx, raw_trace(theta))
 
 
 def reidemeister_trace(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> MergedTrace:
     """Merged trace of the m-th iterate of the Artin action of beta."""
-    return _analyse(beta, m, bounds)[1]
+    return _analyse(_iterate(beta, m), bounds)[1]

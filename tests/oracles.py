@@ -4,7 +4,8 @@ Nothing in the package, the command line or the benchmark calls these
 helpers: each one exists to check another function against an independent
 spelling of the same thing (pure braid generators, the conjugation action
 on tails, products in Z[F_n] and in semidirect coordinates, the abelianized
-matrix of an endomorphism).  They were written against the package's
+matrix of an endomorphism, a general free-group conjugator, the section of
+a base braid).  They were written against the package's
 conventions and are kept here unchanged, so a change to the package that
 moves a convention fails the tests that compare against them.
 """
@@ -17,7 +18,7 @@ from braidforce.augbraid import AugBraid, _phi_letters
 from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, _pure_letters, artin, braid_eq, braid_invert, braid_mul, perm
 from braidforce.forcing import ForcingReport, report_json
 from braidforce.foxcalc import GroupRingElem
-from braidforce.freegroup import FreeEndo, FreeWord, abelianize, apply, concat, format_word
+from braidforce.freegroup import FreeEndo, FreeWord, _word, abelianize, apply, concat, format_word, invert
 
 # ---------------------------------------------------------------------------
 # braid
@@ -62,6 +63,47 @@ def endo_matrix(e: FreeEndo) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(e.rank)) for i in range(e.rank))
 
 
+def cyclic_reduce(w: FreeWord) -> tuple[FreeWord, FreeWord]:
+    """Split w as conj * core * conj^-1 with core cyclically reduced.
+
+    Returns (core, conj).  For a cyclically reduced word the conjugating
+    part is empty.
+    """
+    letters = list(w.letters)
+    conj: list[int] = []
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        conj.append(letters[0])
+        letters = letters[1:-1]
+    return _word(w.rank, tuple(letters)), _word(w.rank, tuple(conj))
+
+
+def conjugator(w1: FreeWord, w2: FreeWord) -> FreeWord | None:
+    """A word c with w2 = c * w1 * c^-1, or None if not conjugate.
+
+    Conjugacy in a free group holds exactly when the cyclically reduced
+    cores are cyclic rotations of each other; the witness is assembled
+    from the two conjugating parts and the rotation, then checked by
+    substitution before being returned.
+    """
+    if w1.rank != w2.rank:
+        raise ValueError("rank mismatch")
+    core1, c1 = cyclic_reduce(w1)
+    core2, c2 = cyclic_reduce(w2)
+    if len(core1) != len(core2):
+        return None
+    if not core1.letters:
+        return FreeWord(w1.rank)
+    u = core1.letters
+    for r in range(len(u)):
+        if u[r:] + u[:r] == core2.letters:
+            shift = FreeWord(w1.rank, u[r:]) if r else FreeWord(w1.rank)
+            c = concat(c2, shift, invert(c1))
+            if concat(c, w1, invert(c)) != w2:
+                raise AssertionError("conjugator failed verification")
+            return c
+    return None
+
+
 # ---------------------------------------------------------------------------
 # foxcalc
 
@@ -103,6 +145,11 @@ def act(b: BraidWord, u: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> Fr
     equal to phi(act(b, u)); it is the Artin action of the inverse braid.
     """
     return apply(artin(braid_invert(b), max_letters), u)
+
+
+def section_word(b: BraidWord) -> BraidWord:
+    """The same letters read on one more strand (the extra strand is idle)."""
+    return BraidWord(b.strands + 1, b.letters)
 
 
 def phi_word(u: FreeWord) -> BraidWord:

@@ -41,8 +41,7 @@ from braidforce.freegroup import apply, concat, invert, reduce
 from braidforce.braid import braid_invert, braid_mul
 from braidforce.foxcalc import fox
 from braidforce.nielsen import is_degenerate
-from braidforce.augbraid import section_word
-from oracles import aug_eq, augmentation, gen, gr_right_mul, phi_word, pure_gen, report_json_text
+from oracles import aug_eq, augmentation, gen, gr_right_mul, phi_word, pure_gen, report_json_text, section_word
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 IOTA5 = BraidWord(6, BETA5.letters)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidforce import (
     AugBraid,
@@ -15,12 +15,13 @@ from braidforce import (
     from_word,
     parse_braid,
     parse_word,
+    perm,
     to_word,
 )
 from braidforce.freegroup import apply, reduce
 from braidforce.braid import _pure_letters, braid_invert, braid_mul
-from braidforce.augbraid import _phi_letters, parse_aug, section_word
-from oracles import act, aug_eq, compose as aug_compose, fixes_last_strand, gen, phi_word, pure_gen
+from braidforce.augbraid import _delete_last_strand, _phi_letters, parse_aug
+from oracles import act, aug_eq, compose as aug_compose, fixes_last_strand, gen, phi_word, pure_gen, section_word
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -167,6 +168,30 @@ def test_from_word_roundtrip_random():
         a = rand_aug(rng, n)
         back = from_word(to_word(a))
         assert aug_eq(back, a)
+
+
+@st.composite
+def last_strand_fixing_words(draw):
+    """A random braid word on at most 5 strands, then a signed crossing walk taking the last strand home."""
+    strands = draw(st.integers(2, 5))
+    pool = [k for i in range(1, strands) for k in (i, -i)]
+    letters = draw(st.lists(st.sampled_from(pool), max_size=8))
+    position = perm(BraidWord(strands, tuple(letters))).apply(strands)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=strands, max_size=strands))
+    letters += [signs[i] * i for i in range(position, strands)]
+    return BraidWord(strands, tuple(letters))
+
+
+@settings(deadline=None)
+@given(last_strand_fixing_words())
+def test_pure_part_and_whole_word_send_the_last_generator_alike(w):
+    # from_word reads x_{n+1}'s image off w's own action: the section uses
+    # only s_1 ... s_{n-1}, which fix x_{n+1}, so section(base)^-1 * w sends
+    # it to the same word
+    assert fixes_last_strand(w)
+    rest = braid_mul(braid_invert(section_word(_delete_last_strand(w))), w)
+    last = gen(w.strands, w.strands)
+    assert apply(artin(w, 1 << 20), last) == apply(artin(rest, 1 << 20), last)
 
 
 def test_from_word_sees_through_rewriting():

@@ -263,6 +263,31 @@ GOLDEN = [
 """,
         id='is-forced-base-mismatch',
     ),
+    pytest.param(
+        ['is-forced', '-n', '3', '--braid', 's1 s2^-1', '-m', '5', '--aug', '(s1 ; e)', '--json'],
+        0,
+        """\
+{
+  "n": 3,
+  "m": 5,
+  "braid": "s1 s2^-1",
+  "candidate": {
+    "base": "s1",
+    "tail": "e"
+  },
+  "bounds": {
+    "radius": 5,
+    "k_max": 6
+  },
+  "verdict": "no",
+  "witness": null,
+  "certificate": [
+    "base_mismatch"
+  ]
+}
+""",
+        id='is-forced-base-mismatch-past-the-word-cap',
+    ),
 ]
 
 

@@ -1,19 +1,27 @@
 import argparse
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from braidforce import (
     AugBraid,
     BraidWord,
+    FreeWord,
     SearchBounds,
+    artin,
     braid_eq,
+    degenerate_families,
     forced_set,
     format_word,
     from_word,
     is_forced,
+    merge,
     parse_braid,
     parse_word,
+    reidemeister_trace,
+    to_word,
 )
 from braidforce.braid import braid_invert, braid_mul
 from braidforce.forcing import report_json, report_text
@@ -123,6 +131,44 @@ def test_is_forced_base_mismatch():
     d = is_forced(cand, BETA5, 1)
     assert d.is_no
     assert d.certificate == ("base_mismatch",)
+    # the fifth power of s1 s2^-1, folded as one word, grows past the image
+    # cap; theta is the fifth iterate of beta's own action, which no cap limits
+    d = is_forced(AugBraid(parse_braid("s1", 3), FreeWord.identity(3)), parse_braid("s1 s2^-1", 3), 5)
+    assert d.is_no
+    assert d.certificate == ("base_mismatch",)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls of artin, braid_eq and merge through every braidforce namespace that binds them."""
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name == "braidforce" or name.startswith("braidforce.")]
+    for fn in (artin, braid_eq, merge):
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, name, counted)
+    return counts
+
+
+def test_from_word_folds_the_input_and_the_check_once_each(calls):
+    a = AugBraid(BETA5, parse_word("x1 x5^-1", 5))
+    assert from_word(to_word(a)) == a
+    assert calls == {"artin": 2}
+
+
+def test_is_forced_folds_beta_and_the_base_once_each(calls):
+    assert is_forced(AugBraid(BETA5, parse_word("x1", 5)), BETA5, 1).is_yes
+    assert calls == {"artin": 2, "merge": 1}
+    calls.clear()
+    # a base that does not match is refused before the trace is merged
+    assert is_forced(AugBraid(braid_mul(BETA5, BETA5), parse_word("x1", 5)), BETA5, 1).is_no
+    assert calls == {"artin": 2}
 
 
 def test_is_forced_inessential():
@@ -151,6 +197,22 @@ def test_is_forced_validation():
         is_forced(AugBraid(parse_braid("s1", 3), parse_word("x1", 3)), BETA5, 1)
     with pytest.raises(ValueError):
         is_forced(AugBraid(BETA5, parse_word("x1", 5)), BETA5, 0)
+
+
+@pytest.mark.parametrize("m", [True, 2.0, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m: forced_set(BETA5, m),
+        lambda m: reidemeister_trace(BETA5, m),
+        lambda m: degenerate_families(BETA5, m),
+        lambda m: is_forced(AugBraid(BETA5, parse_word("x1", 5)), BETA5, m),
+    ],
+    ids=["forced_set", "reidemeister_trace", "degenerate_families", "is_forced"],
+)
+def test_iterate_count_must_be_an_int(entry, m):
+    with pytest.raises(ValueError, match="iteration count m must be an integer"):
+        entry(m)
 
 
 def test_report_text_contents():

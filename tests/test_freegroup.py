@@ -15,16 +15,14 @@ from braidforce.freegroup import (
     apply,
     compose,
     concat,
-    conjugator,
-    cyclic_reduce,
     invert,
     reduce,
     word_sort_key,
 )
-from braidforce.freegroup import _reduce_letters
+from braidforce.freegroup import _conjugator_of, _reduce_letters
 from braidforce.foxcalc import fox
 from braidforce.braid import BraidWord, artin
-from oracles import endo_matrix, gen
+from oracles import conjugator, cyclic_reduce, endo_matrix, gen
 
 RANK = 4
 
@@ -224,6 +222,15 @@ def test_conjugator_rejects_nonconjugates():
     assert conjugator(gen(2, 1), invert(gen(2, 1))) is None
 
 
+@given(st.integers(1, RANK), letters_strategy, st.sampled_from([0] + [k for i in range(1, RANK + 1) for k in (i, -i)]))
+def test_conjugator_of_matches_the_general_conjugator(k, letters, center):
+    # w is c * x_center * c^-1 for a random c, or the random word itself
+    # when center is 0; the split gives the oracle's answer, None included
+    c = reduce(RANK, letters)
+    w = concat(c, gen(RANK, center), invert(c)) if center else c
+    assert _conjugator_of(w, k) == conjugator(gen(RANK, k), w)
+
+
 def test_apply_endo():
     e = FreeEndo(2, (parse_word("x1 x2", 2), parse_word("x2^-1", 2)))
     assert apply(e, parse_word("x1 x2^-1", 2)) == parse_word("x1 x2 x2", 2)
@@ -310,7 +317,8 @@ def derived_words(draw):
     braid_pool = [k for i in range(1, rank) for k in (i, -i)]
     braid_letters = st.lists(st.sampled_from(braid_pool), max_size=8) if braid_pool else st.just([])
     b = BraidWord(rank, tuple(draw(braid_letters)))
-    out = [apply(e, w), concat(u, w), concat(w, invert(w)), invert(w), *cyclic_reduce(concat(u, w, invert(u)))]
+    out = [apply(e, w), concat(u, w), concat(w, invert(w)), invert(w)]
+    out.append(_conjugator_of(concat(u, FreeWord(rank, (rank,)), invert(u)), rank))
     out += [t for j in range(1, rank + 1) for t, _ in fox(w, j).terms]
     out += artin(b, max_letters=10_000).images
     return out

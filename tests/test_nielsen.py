@@ -34,7 +34,6 @@ from braidforce.freegroup import (
     abelianize,
     apply,
     concat,
-    conjugator,
     invert,
     reduce,
     word_sort_key,
@@ -43,7 +42,7 @@ from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
 from braidforce.nielsen import _canonical_cached, _floor, _format_pairs, _joined_len, _orbit
-from oracles import augmentation, endo_matrix, gen
+from oracles import augmentation, conjugator, endo_matrix, gen
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 

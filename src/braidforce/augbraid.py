@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .braid import DEFAULT_MAX_LETTERS, BraidWord, _braid, _pure_letters, artin, format_braid, parse_braid
-from .freegroup import FreeWord, _conjugator_of, apply, format_word, parse_word, reduce
+from .braid import DEFAULT_MAX_LETTERS, BraidWord, _braid, _fold, _pure_letters, artin, format_braid, parse_braid
+from .freegroup import FreeWord, _conjugator_of, _word, format_word, parse_word, reduce
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,14 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
     The base is read off by deleting the last strand.  The pure part
     section(base)^-1 * w acts on x_{n+1} by conjugation, and so does w
     itself, to the same image: the section uses only s_1 ... s_{n-1}, which
-    fix x_{n+1}.  So the image of x_{n+1} is read off w's own Artin action,
-    and deleting every x_{n+1} letter from its conjugating word (the action
-    threads the base point loop through it) leaves exactly the tail.  The
-    result is verified against that action before it is returned.
+    fix x_{n+1}.  So only x_{n+1} is folded through w, under the cap, and
+    deleting every x_{n+1} letter from its conjugating word (the action
+    threads the base point loop through it) leaves exactly the tail.
+
+    The result is verified before it is returned.  When to_word(result)
+    spells w letter for letter, w = section(base) * phi(tail) holds as
+    words.  Otherwise both words are folded in full and their Artin actions
+    must agree, which by faithfulness proves the same equality in the group.
     """
     if w.strands < 2:
         raise ValueError("need at least 2 strands to split off the last one")
@@ -95,13 +99,14 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
         raise ValueError(f"input word has {len(w.letters)} letters (cap {max_letters})")
     n = w.strands - 1
     base = _delete_last_strand(w)
-    action = artin(w, max_letters)
-    conj = _conjugator_of(apply(action, FreeWord(n + 1, (n + 1,))), n + 1)
+    (image,) = _fold(w, [(n + 1,)], max_letters)
+    conj = _conjugator_of(_word(n + 1, image), n + 1)
     if conj is None:
         raise AssertionError("pure part does not conjugate the last-strand generator")
     tail = reduce(n, (k for k in conj.letters if abs(k) != n + 1))
     result = AugBraid(base, tail)
-    if artin(to_word(result), max_letters) != action:
+    back = to_word(result)
+    if back.letters != w.letters and artin(w, max_letters) != artin(back, max_letters):
         raise AssertionError("decomposition failed verification")
     return result
 

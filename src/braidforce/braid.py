@@ -140,17 +140,15 @@ def _letter_endo(strands: int, letter: int) -> FreeEndo:
     return FreeEndo(strands, tuple(images))
 
 
-def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
-    """The Artin automorphism of F_strands induced by the braid word.
+def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> list[tuple[int, ...]]:
+    """Fold reduced letter tuples of F_strands through b's crossings, first letter first.
 
-    Image lengths can grow exponentially in the word length, so the fold
-    aborts once any generator image exceeds max_letters; raise the cap
-    explicitly for long but tame words.  The images are folded as letter
-    tuples, each crossing substituted into every image, and become words
-    once, at the end.
+    Each crossing substitutes its per-letter table into every image.  Image
+    lengths can grow exponentially in the word length, so the fold aborts
+    once any image exceeds max_letters.  This is the package's one capped
+    fold: callers pass only the images they read.
     """
     n = b.strands
-    images = [(k,) for k in range(1, n + 1)]
     for letter in b.letters:
         table = _letter_endo(n, letter)._letter_images
         images = [_reduce_letters(map(table.__getitem__, img)) for img in images]
@@ -160,6 +158,18 @@ def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
                 f"generator image grew to {longest} letters (cap {max_letters}); "
                 "pass a larger max_letters if this is intentional"
             )
+    return images
+
+
+def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
+    """The Artin automorphism of F_strands induced by the braid word.
+
+    Every generator image is folded by _fold, which aborts once any image
+    exceeds max_letters; raise the cap explicitly for long but tame words.
+    The images become words once, at the end.
+    """
+    n = b.strands
+    images = _fold(b, [(k,) for k in range(1, n + 1)], max_letters)
     return FreeEndo(n, tuple(_word(n, img) for img in images))
 
 

@@ -103,14 +103,17 @@ def is_forced(
 
     The base must equal beta^m as a braid: its Artin action must be theta,
     the m-th iterate of beta's, which is folded once and then also feeds
-    the pipeline.  The tail is then matched against the essential class
-    representatives.  Hitting a degenerate class is a definite No, while
-    exhausted searches or unresolved class splits give Unknown.
+    the pipeline.  A base spelling beta's letters m times over is the word
+    power(beta, m) builds, and artin is a homomorphism, so it acts by theta
+    and is not folded; any other base is folded under the cap.  The tail is
+    then matched against the essential class representatives.  Hitting a
+    degenerate class is a definite No, while exhausted searches or
+    unresolved class splits give Unknown.
     """
     if candidate.punctures != beta.strands:
         raise ValueError("puncture count mismatch")
     theta = _iterate(beta, m)
-    if artin(candidate.base) != theta:
+    if candidate.base.letters != beta.letters * m and artin(candidate.base) != theta:
         return Decision("no", None, ("base_mismatch",))
     ctx, trace = _analyse(theta, bounds)
     families = _families(ctx)

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidforce import (
     AugBraid,
     BraidWord,
     FreeWord,
+    WordTooLongError,
     artin,
     braid_eq,
     format_aug,
@@ -18,8 +19,9 @@ from braidforce import (
     perm,
     to_word,
 )
-from braidforce.freegroup import apply, reduce
+from braidforce.freegroup import _conjugator_of, apply, reduce
 from braidforce.braid import _pure_letters, braid_invert, braid_mul
+from braidforce import augbraid
 from braidforce.augbraid import _delete_last_strand, _phi_letters, parse_aug
 from oracles import act, aug_eq, compose as aug_compose, fixes_last_strand, gen, phi_word, pure_gen, section_word
 
@@ -201,6 +203,84 @@ def test_from_word_sees_through_rewriting():
     rewritten = braid_mul(braid_mul(w, BraidWord(4, (2, 2, -2, -2))), BraidWord.identity(4))
     back = from_word(rewritten)
     assert aug_eq(back, a)
+
+
+def refuses(w: BraidWord) -> bool:
+    """Whether artin folds w past the default image cap."""
+    try:
+        artin(w)
+    except WordTooLongError:
+        return True
+    return False
+
+
+@st.composite
+def aug_braids(draw):
+    """A random AugBraid on 1 to 4 punctures whose word stays within from_word's input cap."""
+    n = draw(st.integers(1, 4))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    base = draw(st.lists(st.sampled_from(pool), max_size=10)) if pool else []
+    tail = draw(st.lists(st.sampled_from([k for i in range(1, n + 1) for k in (i, -i)]), max_size=12))
+    return AugBraid(BraidWord(n, tuple(base)), reduce(n, tail))
+
+
+@settings(deadline=None)
+@given(aug_braids())
+@example(AugBraid(parse_braid("s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1", 3), FreeWord.identity(3)))
+@example(AugBraid(BraidWord.identity(1), FreeWord(1, (1,) * 33)))
+def test_round_trip_refuses_only_where_the_full_fold_does(a):
+    # a round trip folds x_{n+1} alone and is verified by its letters: it
+    # returns its input, and refuses only where artin itself refuses
+    w = to_word(a)
+    try:
+        back = from_word(w)
+    except WordTooLongError:
+        assert refuses(w)
+    else:
+        assert back == a
+
+
+@settings(deadline=None)
+@given(last_strand_fixing_words())
+@example(parse_braid("s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s3 s2 s3 s2^-1 s3^-1 s2^-1", 4))
+def test_rewritten_word_refuses_exactly_where_a_full_fold_does(w):
+    # a word that does not come back letter for letter is verified by
+    # folding it and its decomposition in full
+    back = to_word(from_word(w, 4096))
+    assume(back.letters != w.letters)
+    try:
+        from_word(w)
+    except WordTooLongError:
+        refused = True
+    else:
+        refused = False
+    assert refused == (refuses(w) or refuses(back))
+
+
+def flip_first_crossing(w: BraidWord) -> BraidWord:
+    base = _delete_last_strand(w)
+    return BraidWord(base.strands, (-base.letters[0],) + base.letters[1:])
+
+
+def conjugator_times_x1(w: FreeWord, k: int) -> FreeWord:
+    c = _conjugator_of(w, k)
+    return reduce(c.rank, c.letters + (1,))
+
+
+@pytest.mark.parametrize(
+    "fault, name", [(flip_first_crossing, "_delete_last_strand"), (conjugator_times_x1, "_conjugator_of")]
+)
+def test_from_word_verification_catches_a_wrong_base_or_tail(fault, name, monkeypatch):
+    a = AugBraid(parse_braid("s1 s2", 3), parse_word("x2 x3^-1", 3))
+    round_trip = to_word(a)
+    # the same braid times the relator s3 s2 s3 (s2 s3 s2)^-1
+    rewritten = BraidWord(4, round_trip.letters + (3, 2, 3, -2, -3, -2))
+    assert from_word(round_trip) == a
+    assert aug_eq(from_word(rewritten), a)
+    monkeypatch.setattr(augbraid, name, fault)
+    for w in (round_trip, rewritten):
+        with pytest.raises(AssertionError, match="^decomposition failed verification$"):
+            from_word(w)
 
 
 def test_from_word_rejects_moving_last_strand():

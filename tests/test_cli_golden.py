@@ -12,6 +12,7 @@ import pytest
 from braidforce import cli
 
 WORKED = "s1 s2 s3^-1 s4^-1"
+ROUND_TRIP_PAST_THE_CAP = "s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1"
 
 GOLDEN = [
     pytest.param(
@@ -1174,6 +1175,70 @@ certificate: radius 0
         '',
         'error: iteration count m must be >= 1\n',
         id='m-zero-json',
+    ),
+    # a round trip is verified by its letters: folded through this word, the
+    # generator images pass the cap, but x4's, the one read, stays x4
+    pytest.param(
+        ['decompose', '-n', '3', '--braid', ROUND_TRIP_PAST_THE_CAP],
+        0,
+        """\
+(s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 ; e)
+""",
+        '',
+        id='decompose-round-trip-past-the-cap-text',
+    ),
+    pytest.param(
+        ['decompose', '-n', '3', '--braid', ROUND_TRIP_PAST_THE_CAP, '--json'],
+        0,
+        """\
+{
+  "punctures": 3,
+  "input": "s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1",
+  "base": "s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1",
+  "tail": "e"
+}
+""",
+        '',
+        id='decompose-round-trip-past-the-cap-json',
+    ),
+    # the --word candidate's base is the word beta^m, which acts by theta
+    # unfolded; folded as one word it would grow past the cap
+    pytest.param(
+        ['is-forced', '-n', '3', '--braid', 's1 s2^-1', '-m', '5', '--word', 'x1'],
+        1,
+        """\
+verdict: unknown
+certificate: unresolved_class x1
+""",
+        '',
+        id='is-forced-word-past-the-cap-text',
+    ),
+    pytest.param(
+        ['is-forced', '-n', '3', '--braid', 's1 s2^-1', '-m', '5', '--word', 'x1', '--json'],
+        1,
+        """\
+{
+  "n": 3,
+  "m": 5,
+  "braid": "s1 s2^-1",
+  "candidate": {
+    "base": "s1 s2^-1 s1 s2^-1 s1 s2^-1 s1 s2^-1 s1 s2^-1",
+    "tail": "x1"
+  },
+  "bounds": {
+    "radius": 5,
+    "k_max": 6
+  },
+  "verdict": "unknown",
+  "witness": null,
+  "certificate": [
+    "unresolved_class",
+    "x1"
+  ]
+}
+""",
+        '',
+        id='is-forced-word-past-the-cap-json',
     ),
 ]
 

@@ -25,15 +25,14 @@ def test_no_assert_statements_in_package():
 
 
 
-def _print_calls(node, scope=""):
-    """Yield (scope, line) of each print() call; scope is the dotted enclosing function."""
+def _scoped_nodes(node, scope=""):
+    """Yield (scope, child) for every node below node; scope is the dotted enclosing function or class."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "print":
-            yield scope, child.lineno
+        yield scope, child
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _print_calls(child, f"{scope}.{child.name}" if scope else child.name)
+            yield from _scoped_nodes(child, f"{scope}.{child.name}" if scope else child.name)
         else:
-            yield from _print_calls(child, scope)
+            yield from _scoped_nodes(child, scope)
 
 
 def test_only_cli_main_prints():
@@ -41,10 +40,24 @@ def test_only_cli_main_prints():
     # has one writer
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for scope, line in _print_calls(ast.parse(path.read_text(), filename=str(path))):
-            if (path.name, scope) != ("cli.py", "main"):
-                found.append(f"{path.name}:{line} in {scope or '<module>'}")
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            is_print = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            if is_print and (path.name, scope) != ("cli.py", "main"):
+                found.append(f"{path.name}:{node.lineno} in {scope or '<module>'}")
     assert found == []
+
+
+def test_the_image_cap_is_enforced_in_one_fold():
+    # every capped fold goes through braid._fold, so the cap and its message
+    # live in one place
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "WordTooLongError":
+                    found.append((path.name, scope))
+    assert found == [("braid.py", "_fold")]
 
 
 def test_all_is_exactly_the_public_names_bound_in_the_package():

@@ -36,6 +36,8 @@ class AugBraid:
     tail: FreeWord
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.base, BraidWord) and isinstance(self.tail, FreeWord)):
+            raise ValueError(f"need a BraidWord and a FreeWord, got {type(self.base)}, {type(self.tail)}")
         if self.tail.rank != self.base.strands:
             raise ValueError(
                 f"tail rank {self.tail.rank} must equal base strand count {self.base.strands}"

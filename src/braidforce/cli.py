@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from .augbraid import AugBraid, format_aug, from_word, parse_aug
 from .braid import BraidWord, braid_eq, format_braid, parse_braid, perm, power
@@ -40,6 +40,72 @@ def _json_safe(obj):
     if isinstance(obj, (tuple, list)):
         return [_json_safe(x) for x in obj]
     return obj
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` for a document of str, int, bool, None, lists, tuples and str-keyed dicts.
+
+    The standard encoder runs in pure Python whenever ``indent`` is set.
+    This writer appends chunks to one list and joins it once, writes
+    scalars inline, and escapes each distinct string object once through
+    the C ``encode_basestring_ascii``.  The escapes are memoised by
+    ``id``: the document holds every string alive, so no id is reused
+    while it is written, and a word that recurs across pairs or between a
+    class and a forced braid is escaped once.  Types are matched exactly:
+    a float, a subclass of those types or a key that is not a str raises
+    TypeError.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    escaped: dict[int, str] = {}
+
+    def write(o, pad: str) -> None:
+        # pad is the newline and indentation before o's closing bracket
+        t = type(o)
+        if t is str:
+            e = escaped.get(id(o))
+            if e is None:
+                e = escaped[id(o)] = encode_basestring_ascii(o)
+            append(e)
+        elif t is int:
+            append(repr(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif t is list or t is tuple:
+            if not o:
+                append("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for x in o:
+                append(sep)
+                write(x, inner)
+                sep = "," + inner
+            append(pad + "]")
+        elif t is dict:
+            if not o:
+                append("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                append(sep)
+                write(k, inner)
+                append(": ")
+                write(v, inner)
+                sep = "," + inner
+            append(pad + "}")
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    return "".join(chunks)
 
 
 def _bounds(args) -> SearchBounds:
@@ -255,7 +321,7 @@ def main(argv=None) -> int:
         # a result failed its verification by substitution: a bug, not bad input
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(out, indent=2) if args.json else out)
+    print(_json_text(out) if args.json else out)
     return code
 
 

@@ -183,11 +183,15 @@ def report_text(report: ForcingReport) -> str:
 
 
 def report_json(report: ForcingReport) -> dict:
+    # forced_set gives every forced braid its class's representative as
+    # tail, the very object: keyed by identity, each is formatted once, so
+    # no long word is hashed; the report holds every word alive
+    names = {id(c.representative): format_word(c.representative) for c in report.classes}
     classes = []
     for c in report.classes:
         entry = {
             "coefficient": c.coefficient,
-            "representative": format_word(c.representative),
+            "representative": names[id(c.representative)],
             "degeneracy": c.degeneracy.kind,
             "abelian_label": list(c.abelian_label),
             "boundary": None if c.boundary is None else c.boundary.kind,
@@ -207,7 +211,7 @@ def report_json(report: ForcingReport) -> dict:
         "forced": [
             {
                 "base": base,
-                "tail": format_word(a.tail),
+                "tail": names.get(id(a.tail)) or format_word(a.tail),
                 "word": format_braid(to_word(a)),
             }
             for a in report.forced

@@ -118,6 +118,11 @@ class TwistContext:
         return Permutation(tuple(units.get(abelianize(img), 0) for img in self.theta.images))
 
     @functools.cached_property
+    def _invariants(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """abelian_invariant of each word asked about, by its letters: merge's bucket key serves every later ask."""
+        return {}
+
+    @functools.cached_property
     def _cycle_top(self) -> tuple[int, ...]:
         """Entry i - 1 is the largest strand of strand i's cycle, less one: the slot of that cycle's sum."""
         images = self._strand_perm.images
@@ -149,8 +154,13 @@ def abelian_invariant(ctx: TwistContext, w: FreeWord) -> tuple[int, ...]:
     M being theta's abelianized matrix.  For a braid iterate M permutes the
     strands, so Z^n / im(M - I) is free on the strand cycles: this tuple
     names the coset of abelianize(w), an invariant of the twisted class.
+    Each word is abelianized once per context.
     """
-    return _cycle_sums(ctx, abelianize(w))
+    memo = ctx._invariants
+    inv = memo.get(w.letters)
+    if inv is None:
+        inv = memo[w.letters] = _cycle_sums(ctx, abelianize(w))
+    return inv
 
 
 def _cycle_sums(ctx: TwistContext, exponents: tuple[int, ...]) -> tuple[int, ...]:

@@ -322,6 +322,21 @@ def test_parse_format_aug():
         parse_aug("(s1, x1)", 3)
 
 
+def test_rejects_a_tail_that_is_not_a_free_word():
+    with pytest.raises(ValueError):
+        AugBraid(BraidWord(2, (1,)), "x1")
+
+
+def test_rejects_a_base_that_is_not_a_braid_word():
+    with pytest.raises(ValueError):
+        AugBraid("s1", FreeWord(2, (1,)))
+
+
+def test_rejects_a_missing_tail():
+    with pytest.raises(ValueError):
+        AugBraid(BraidWord(2, (1,)), None)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         AugBraid(parse_braid("s1", 3), parse_word("x1", 2))  # rank mismatch

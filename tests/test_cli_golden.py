@@ -7,7 +7,10 @@ shared pipeline or of the JSON helpers must reproduce them byte for byte.
 text and in `--json`, error paths included.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidforce import cli
 
@@ -1251,3 +1254,42 @@ def test_cli_golden_both_modes(argv, code, stdout, stderr, capsys, monkeypatch):
     except SystemExit as exc:  # argparse exits on a usage error
         got = exc.code
     assert (got, *capsys.readouterr()) == (code, stdout, stderr)
+
+
+# the --json writer against the standard encoder
+
+STRINGS = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f/aé€😀') | st.characters(), max_size=6)
+SCALARS = STRINGS | st.integers() | st.integers(-(2**100), 2**100) | st.booleans() | st.none()
+
+
+def documents(shared):
+    """Nested lists, tuples and str-keyed dicts, empty or not, whose strings and keys include the object shared."""
+    keys = STRINGS | st.just(shared)
+    return st.recursive(
+        SCALARS | st.just(shared),
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(keys, kids, max_size=4),
+        max_leaves=24,
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_json_writer_matches_the_standard_encoder(data):
+    shared = data.draw(STRINGS)
+    doc = data.draw(documents(shared))
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_escapes_a_recurring_string_alike_at_each_place():
+    s = 'x1 "x2"\\ é'
+    doc = {s: [s, (s, {s: s})], "k": s}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [0.0]}, {1: "x"}, {"a": {None: 1}}, [{("a",): 1}]])
+def test_json_writer_refuses_floats_and_keys_that_are_not_str(doc):
+    # the standard encoder would write these; no --json document holds one
+    with pytest.raises(TypeError):
+        cli._json_text(doc)

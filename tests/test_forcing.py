@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -248,6 +249,17 @@ def test_report_json_structure():
     assert [f["tail"] for f in doc["forced"]] == ["x1", "x5^-1"]
     assert doc["classes"][2]["boundary"] == "yes"
     json.dumps(doc)  # must be serializable as given
+
+
+def test_report_json_shares_each_representative_string_with_its_forced_tail():
+    report = forced_set(parse_braid("s1 s2^-1", 3), 3, SearchBounds(3, 6))
+    doc = report_json(report)
+    names = {c["representative"]: c["representative"] for c in doc["classes"]}
+    assert all(f["tail"] is names[f["tail"]] for f in doc["forced"])
+    # a tail that is an equal word but not the representative object is formatted anew, alike
+    tails = (FreeWord(3, a.tail.letters) for a in report.forced)
+    copied = dataclasses.replace(report, forced=tuple(AugBraid(a.base, t) for a, t in zip(report.forced, tails)))
+    assert report_json(copied) == doc
 
 
 def test_report_json_text_deterministic():

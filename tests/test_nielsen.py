@@ -107,6 +107,37 @@ def test_abelian_invariant_is_twisted_conjugacy_invariant():
         assert abelian_invariant(ctx, u) == abelian_invariant(ctx, v)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_abelian_invariant_memo_equals_the_cycle_sums(data):
+    ctx = data.draw(small_twists())
+    for w in data.draw(st.lists(words(ctx.rank, 8), max_size=6)):
+        assert abelian_invariant(ctx, w) == nielsen._cycle_sums(ctx, abelianize(w))
+        assert abelian_invariant(ctx, w) == nielsen._cycle_sums(ctx, abelianize(w))  # from the memo
+
+
+def test_abelian_invariant_memo_is_per_context():
+    # BETA5 permutes the strands in one 5-cycle; the trivial braid fixes each
+    w = parse_word("x1 x2", 5)
+    cycled, fixed = ctx_for(BETA5), ctx_for(BraidWord.identity(5))
+    assert abelian_invariant(cycled, w) == (0, 0, 0, 0, 2)
+    assert abelian_invariant(fixed, w) == (1, 1, 0, 0, 0)
+    assert abelian_invariant(cycled, w) == (0, 0, 0, 0, 2)
+
+
+def test_abelian_invariant_abelianizes_a_word_once_per_context(monkeypatch):
+    ctx = ctx_for(BETA5)
+    w = parse_word("x1 x2^-1 x3", 5)
+    first = abelian_invariant(ctx, w)
+    calls = []
+    monkeypatch.setattr(nielsen, "abelianize", lambda v: calls.append(v) or abelianize(v))
+    assert abelian_invariant(ctx, w) == first
+    assert abelian_invariant(ctx, parse_word("x1 x2^-1 x3", 5)) == first  # an equal word, another object
+    assert calls == []
+    abelian_invariant(ctx, parse_word("x4", 5))
+    assert len(calls) == 1
+
+
 def test_twisted_conj_golden_yes():
     ctx = ctx_for(BETA5)
     d = twisted_conj(ctx, FreeWord.identity(5), parse_word("x5^-1 x4", 5))

@@ -47,6 +47,21 @@ def test_only_cli_main_prints():
     assert found == []
 
 
+def test_no_json_dumps_call_indents():
+    # the standard encoder runs in pure Python when indent is set; --json
+    # text is written by cli._json_text alone
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "dumps" and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno} in {scope or '<module>'}")
+    assert found == []
+
+
 def test_the_image_cap_is_enforced_in_one_fold():
     # every capped fold goes through braid._fold, so the cap and its message
     # live in one place

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, _word, word_sort_key
+from .freegroup import FreeEndo, FreeWord, _is_int, _word, word_sort_key
 
 
 @dataclass(frozen=True)
@@ -24,26 +24,27 @@ class GroupRingElem:
     terms: tuple[tuple[FreeWord, int], ...] = ()
 
     def __post_init__(self) -> None:
+        _check_terms(self.rank, self.terms)
         keys = [word_sort_key(w) for w, _ in self.terms]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("terms must be sorted by word with no duplicates")
-        _check_terms(self.rank, self.terms)
 
     @classmethod
     def from_terms(cls, rank: int, items) -> GroupRingElem:
         """Collect (word, coefficient) pairs, summing duplicates, dropping zeros.
 
         The collected terms are sorted and duplicate-free by construction, so
-        only their ranks and coefficients are checked; the order check of
-        direct construction is skipped instead of keying every word again.
+        they get the term check alone; the order check of direct
+        construction is skipped instead of keying every word again.
         """
         acc: dict[FreeWord, int] = {}
         for w, c in items:
+            if not _is_int(c):  # a bool would sum to an int unseen
+                raise ValueError(f"coefficient must be an integer, got {c!r}")
             acc[w] = acc.get(w, 0) + c
-        kept = [(w, c) for w, c in acc.items() if c != 0]
-        kept.sort(key=lambda t: word_sort_key(t[0]))
-        terms = tuple(kept)
-        _check_terms(rank, terms)
+        kept = tuple((w, c) for w, c in acc.items() if c != 0)
+        _check_terms(rank, kept)
+        terms = tuple(sorted(kept, key=lambda t: word_sort_key(t[0])))
         elem = object.__new__(cls)
         object.__setattr__(elem, "rank", rank)
         object.__setattr__(elem, "terms", terms)
@@ -70,11 +71,27 @@ class GroupRingElem:
 
 
 def _check_terms(rank: int, terms) -> None:
+    """ValueError unless rank is a positive int and terms a tuple of (FreeWord of that rank, nonzero int)."""
+    if not _is_int(rank) or rank < 1:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    if not isinstance(terms, tuple):
+        raise ValueError(f"terms must be a tuple, got {type(terms).__name__}")
     for w, c in terms:
-        if w.rank != rank:
-            raise ValueError("term rank mismatch")
-        if not isinstance(c, int) or c == 0:
+        if not isinstance(w, FreeWord) or w.rank != rank:
+            raise ValueError(f"terms must be FreeWords of rank {rank}, got {w!r}")
+        if not _is_int(c) or c == 0:
             raise ValueError(f"coefficient must be a nonzero integer, got {c!r}")
+
+
+def _fox_terms(w: FreeWord, j: int):
+    """The uncollected summands of d(w)/dx_j: (the prefix before each x_j, +1) and
+    (the prefix through each x_j^-1, -1).  A prefix of a reduced word is reduced."""
+    letters = w.letters
+    for i, k in enumerate(letters):
+        if k == j:
+            yield _word(w.rank, letters[:i]), 1
+        elif k == -j:
+            yield _word(w.rank, letters[: i + 1]), -1
 
 
 def fox(w: FreeWord, j: int) -> GroupRingElem:
@@ -87,27 +104,7 @@ def fox(w: FreeWord, j: int) -> GroupRingElem:
     """
     if not (1 <= j <= w.rank):
         raise ValueError(f"generator index {j} out of range")
-    acc: dict[tuple[int, ...], int] = {}
-    prefix: list[int] = []
-
-    def emit(letters: list[int], c: int) -> None:
-        key = tuple(letters)
-        acc[key] = acc.get(key, 0) + c
-
-    for k in w.letters:
-        if k == j:
-            emit(prefix, 1)
-        elif k == -j:
-            # -x_j^-1 sits after the prefix; w is reduced so no cancellation
-            emit(prefix + [k], -1)
-        prefix.append(k)
-    # every term is a prefix of the reduced word w, so it is reduced
-    return GroupRingElem.from_terms(w.rank, ((_word(w.rank, key), c) for key, c in acc.items()))
-
-
-def jacobian_diagonal(e: FreeEndo) -> tuple[GroupRingElem, ...]:
-    """Diagonal of the Fox Jacobian: entry i is fox(e(x_i), i)."""
-    return tuple(fox(e.images[i - 1], i) for i in range(1, e.rank + 1))
+    return GroupRingElem.from_terms(w.rank, _fox_terms(w, j))
 
 
 def raw_trace(e: FreeEndo) -> GroupRingElem:
@@ -117,6 +114,6 @@ def raw_trace(e: FreeEndo) -> GroupRingElem:
     grouped into twisted conjugacy classes before they mean anything.
     """
     terms = [(FreeWord(e.rank), 1)]
-    for d in jacobian_diagonal(e):
-        terms += ((w, -c) for w, c in d.terms)
+    for i, img in enumerate(e.images, 1):
+        terms += ((w, -c) for w, c in _fox_terms(img, i))
     return GroupRingElem.from_terms(e.rank, terms)

@@ -210,6 +210,8 @@ def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
 
 def endo_power(e: FreeEndo, m: int) -> FreeEndo:
     """m-fold composite of e with itself; m = 0 gives the identity."""
+    if not _is_int(m):
+        raise ValueError(f"iteration count m must be an integer, got {m!r}")
     if m < 0:
         raise ValueError("endomorphisms are not invertible in general; m must be >= 0")
     acc = FreeEndo.identity(e.rank)

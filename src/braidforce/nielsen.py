@@ -507,6 +507,12 @@ class DegenerateFamily:
     strand: int
     conj: FreeWord
 
+    def __post_init__(self) -> None:
+        if not _is_int(self.strand) or self.strand < 1:
+            raise ValueError(f"strand must be a positive integer, got {self.strand!r}")
+        if not isinstance(self.conj, FreeWord):
+            raise ValueError(f"conj must be a FreeWord, got {self.conj!r}")
+
     @functools.cached_property
     def _exponents(self) -> tuple[int, ...]:
         """abelianize(conj), computed once per family."""
@@ -559,6 +565,8 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
         return Decision("no", None, ("families", k_max))
     if any(w.rank != ctx.rank for w in (gamma, *(fam.conj for fam in families))):
         raise ValueError("rank mismatch")
+    if any(fam.strand > ctx.rank for fam in families):
+        raise ValueError(f"family strand out of range 1..{ctx.rank}")
     target = abelian_invariant(ctx, gamma)
     saw_unknown = False
     for fam in families:

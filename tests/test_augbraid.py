@@ -283,6 +283,15 @@ def test_from_word_verification_catches_a_wrong_base_or_tail(fault, name, monkey
             from_word(w)
 
 
+def test_from_word_refuses_an_input_longer_than_the_cap():
+    # s1 fixes x3, so no image grows: only the input's own length is capped
+    assert from_word(BraidWord(3, (1,) * 128)) == AugBraid(BraidWord(2, (1,) * 128), FreeWord.identity(2))
+    with pytest.raises(ValueError, match=r"^input word has 129 letters \(cap 128\)$"):
+        from_word(BraidWord(3, (1,) * 129))
+    with pytest.raises(ValueError, match=r"^input word has 5 letters \(cap 4\)$"):
+        from_word(BraidWord(3, (1,) * 5), max_letters=4)
+
+
 def test_from_word_rejects_moving_last_strand():
     with pytest.raises(ValueError):
         from_word(parse_braid("s2", 3))

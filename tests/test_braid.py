@@ -153,6 +153,31 @@ def test_braid_eq_identities_and_differences():
         braid_eq(parse_braid("s1", 3), parse_braid("s1", 4))
 
 
+def test_braid_eq_of_the_same_letters_folds_nothing():
+    # the fold of (s1 s2^-1)^40 passes the cap at 177 letters
+    w = power(parse_braid("s1 s2^-1", 3), 40)
+    with pytest.raises(WordTooLongError):
+        artin(w)
+    assert braid_eq(w, BraidWord(3, w.letters))
+    with pytest.raises(ValueError, match="strand count mismatch"):
+        braid_eq(w, BraidWord(4, w.letters))
+
+
+@pytest.mark.parametrize("m", [True, False, 1.5, 2.0, "2", None])
+def test_power_rejects_a_non_integer_exponent(m):
+    with pytest.raises(ValueError, match="exponent m must be an integer"):
+        power(parse_braid("s1", 2), m)
+
+
+def test_permutation_compose_rejects_a_size_mismatch():
+    small, large = Permutation((2, 1)), Permutation((1, 2, 3))
+    with pytest.raises(ValueError, match="size mismatch"):
+        small.compose(large)
+    with pytest.raises(ValueError, match="size mismatch"):
+        large.compose(small)
+    assert small.compose(small) == Permutation((1, 2))
+
+
 def test_fixes_last_strand():
     assert fixes_last_strand(parse_braid("s1", 3))
     assert not fixes_last_strand(parse_braid("s2", 3))

@@ -6,12 +6,15 @@ from braidforce import (
     FreeWord,
     GroupRingElem,
     artin,
+    endo_power,
     parse_braid,
     parse_word,
     raw_trace,
 )
 from braidforce.freegroup import concat, invert, reduce
-from braidforce.foxcalc import fox, jacobian_diagonal
+from braidforce import foxcalc
+from braidforce.foxcalc import fox
+from braidforce.freegroup import word_sort_key
 from oracles import augmentation, format_ring, gen, gr_left_mul, gr_right_mul
 
 
@@ -92,7 +95,7 @@ def test_fox_augmentation_counts_exponent():
 
 def test_jacobian_diagonal_golden_five_strand():
     e = artin(parse_braid("s1 s2 s3^-1 s4^-1", 5))
-    diag = jacobian_diagonal(e)
+    diag = [fox(e.images[i - 1], i) for i in range(1, 6)]
     w1 = parse_word("x1 x2 x5 x2^-1 x1^-1", 5)
     assert diag[0] == GroupRingElem.one(5) - ring(5, [(w1, 1)])
     assert diag[1] == GroupRingElem.zero(5)
@@ -145,9 +148,19 @@ def test_raw_trace_is_one_minus_diagonal_sum():
         pool = [k for i in range(1, n) for k in (i, -i)]
         e = artin(BraidWord(n, tuple(rng.choice(pool) for _ in range(rng.randrange(7)))))
         expected = GroupRingElem.one(n)
-        for d in jacobian_diagonal(e):
-            expected = expected - d
+        for i in range(1, n + 1):
+            expected = expected - fox(e.images[i - 1], i)
         assert raw_trace(e) == expected
+
+
+def test_raw_trace_keys_each_collected_term_once(monkeypatch):
+    # the diagonal is collected in one pass: one sort key per term of the result
+    e = endo_power(artin(parse_braid("s1 s2^-1", 3)), 3)
+    expected = raw_trace(e)
+    calls = []
+    monkeypatch.setattr(foxcalc, "word_sort_key", lambda w: calls.append(w) or word_sort_key(w))
+    assert raw_trace(e) == expected
+    assert len(calls) == len(expected.terms) > 1
 
 
 def test_format_ring():
@@ -179,3 +192,37 @@ def test_direct_construction_checks_order_and_duplicates():
     with pytest.raises(ValueError):
         ring(2, [(x1, 1.5)])  # from_terms still checks coefficients
     assert GroupRingElem(2, ((x1, 1), (x2, -1))) == ring(2, [(x2, -1), (x1, 1)])
+
+
+@pytest.mark.parametrize("rank", [0, -1, True, "a", 2.0])
+def test_ring_rejects_a_rank_that_is_not_a_positive_int(rank):
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        GroupRingElem(rank, ())
+    with pytest.raises(ValueError, match="rank must be a positive integer"):
+        ring(rank, [])
+
+
+def test_ring_rejects_a_list_of_terms():
+    # a list would make the element unhashable and unequal to its tuple twin
+    with pytest.raises(ValueError, match="terms must be a tuple"):
+        GroupRingElem(2, [(gen(2, 1), 1)])
+
+
+@pytest.mark.parametrize("c", [True, False, 1.0])
+def test_ring_rejects_a_coefficient_that_is_not_an_int(c):
+    x1 = gen(2, 1)
+    with pytest.raises(ValueError, match="coefficient"):
+        GroupRingElem(2, ((x1, c),))
+    # summed, a bool becomes an int: from_terms checks each coefficient first
+    with pytest.raises(ValueError, match="coefficient"):
+        ring(2, [(x1, c)])
+    with pytest.raises(ValueError, match="coefficient"):
+        ring(2, [(x1, 1), (x1, c)])
+
+
+@pytest.mark.parametrize("word", ["x1", (1,), None])
+def test_ring_rejects_a_term_that_is_not_a_free_word(word):
+    with pytest.raises(ValueError, match="FreeWords of rank 2"):
+        GroupRingElem(2, ((word, 1),))
+    with pytest.raises(ValueError, match="FreeWords of rank 2"):
+        ring(2, [(word, 1)])

@@ -263,6 +263,13 @@ def test_endo_power():
         endo_power(e, -1)
 
 
+@pytest.mark.parametrize("m", [True, False, 1.5, 2.0, "2", None])
+def test_endo_power_rejects_a_non_integer_count(m):
+    # True and False compare equal to 1 and 0
+    with pytest.raises(ValueError, match="iteration count m must be an integer"):
+        endo_power(FreeEndo.identity(2), m)
+
+
 def test_endo_matrix():
     e = FreeEndo(2, (parse_word("x1 x2 x1^-1", 2), parse_word("x1 x2 x2", 2)))
     # column j holds the abelianized image of x_j

@@ -101,6 +101,8 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
     def apply(self, k: int) -> int:
+        if not _is_int(k) or not 1 <= k <= len(self.images):
+            raise ValueError(f"strand must be an integer in 1..{len(self.images)}, got {k!r}")
         return self.images[k - 1]
 
     def compose(self, other: Permutation) -> Permutation:

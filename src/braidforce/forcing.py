@@ -19,7 +19,6 @@ from .nielsen import (
     MergedTrace,
     SearchBounds,
     _analyse,
-    _families,
     _format_pairs,
     _iterate,
     abelian_invariant,
@@ -70,7 +69,6 @@ def forced_set(
     could have changed the answer.
     """
     ctx, trace = _analyse(_iterate(beta, m), bounds)
-    families = _families(ctx)
     base = power(beta, m)
     identity = FreeWord(beta.strands)
 
@@ -78,7 +76,7 @@ def forced_set(
     forced: list[AugBraid] = []
     exact = not trace.unresolved
     for s in trace.summands:
-        deg = is_degenerate(ctx, s.representative, families)
+        deg = is_degenerate(ctx, s.representative, ctx._families)
         bd = twisted_conj(ctx, identity, s.representative) if boundary_fixed else None
         classes.append(
             ClassReport(s.coefficient, s.representative, deg, abelian_invariant(ctx, s.representative), bd)
@@ -116,7 +114,6 @@ def is_forced(
     if candidate.base.letters != beta.letters * m and artin(candidate.base) != theta:
         return Decision("no", None, ("base_mismatch",))
     ctx, trace = _analyse(theta, bounds)
-    families = _families(ctx)
     fuzzy = {w for pair in trace.unresolved for w in pair}
     saw_unknown = bool(trace.unresolved)
     for s in trace.summands:
@@ -128,7 +125,7 @@ def is_forced(
             continue
         if any(member in fuzzy for member in s.members):
             return Decision("unknown", None, ("unresolved_class", s.representative))
-        deg = is_degenerate(ctx, s.representative, families)
+        deg = is_degenerate(ctx, s.representative, ctx._families)
         if deg.is_yes:
             return Decision("no", None, ("degenerate_class", s.representative))
         if deg.is_unknown:

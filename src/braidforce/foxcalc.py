@@ -102,8 +102,8 @@ def fox(w: FreeWord, j: int) -> GroupRingElem:
     >>> [(format_word(t), c) for t, c in d.terms]
     [('e', 1), ('x1 x2 x1^-1', -1)]
     """
-    if not (1 <= j <= w.rank):
-        raise ValueError(f"generator index {j} out of range")
+    if not _is_int(j) or not 1 <= j <= w.rank:
+        raise ValueError(f"generator index {j!r} out of range")
     return GroupRingElem.from_terms(w.rank, _fox_terms(w, j))
 
 

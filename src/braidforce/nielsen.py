@@ -118,6 +118,17 @@ class TwistContext:
         return Permutation(tuple(units.get(abelianize(img), 0) for img in self.theta.images))
 
     @functools.cached_property
+    def _families(self) -> tuple[DegenerateFamily, ...]:
+        """One degenerate family per fixed strand of theta, in ascending order."""
+        fams = []
+        for i in self._strand_perm.fixed_points():
+            lam = _conjugator_of(self.theta.images[i - 1], i)
+            if lam is None:  # braid images are conjugates of generators
+                raise AssertionError(f"image of x{i} is not a conjugate of x{i}")
+            fams.append(DegenerateFamily(i, lam))
+        return tuple(fams)
+
+    @functools.cached_property
     def _invariants(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """abelian_invariant of each word asked about, by its letters: merge's bucket key serves every later ask."""
         return {}
@@ -159,16 +170,11 @@ def abelian_invariant(ctx: TwistContext, w: FreeWord) -> tuple[int, ...]:
     memo = ctx._invariants
     inv = memo.get(w.letters)
     if inv is None:
-        inv = memo[w.letters] = _cycle_sums(ctx, abelianize(w))
+        sums = [0] * ctx.rank
+        for e, top in zip(abelianize(w), ctx._cycle_top):
+            sums[top] += e
+        inv = memo[w.letters] = tuple(sums)
     return inv
-
-
-def _cycle_sums(ctx: TwistContext, exponents: tuple[int, ...]) -> tuple[int, ...]:
-    """abelian_invariant of a word with the given exponent-sum vector."""
-    sums = [0] * ctx.rank
-    for e, top in zip(exponents, ctx._cycle_top):
-        sums[top] += e
-    return tuple(sums)
 
 
 def _floor(ctx: TwistContext, invariant: tuple[int, ...]) -> tuple[int, ...]:
@@ -513,11 +519,6 @@ class DegenerateFamily:
         if not isinstance(self.conj, FreeWord):
             raise ValueError(f"conj must be a FreeWord, got {self.conj!r}")
 
-    @functools.cached_property
-    def _exponents(self) -> tuple[int, ...]:
-        """abelianize(conj), computed once per family."""
-        return abelianize(self.conj)
-
 
 def _check_iterate(m: int) -> None:
     """ValueError unless m is an int (not a bool) of at least 1: the one check of m, run by _iterate and the CLI's perm."""
@@ -535,18 +536,7 @@ def _iterate(beta: BraidWord, m: int) -> FreeEndo:
 
 def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]:
     """One family per strand fixed by the permutation of beta^m."""
-    return _families(TwistContext.create(_iterate(beta, m)))
-
-
-def _families(ctx: TwistContext) -> tuple[DegenerateFamily, ...]:
-    """One family per fixed strand of theta, in ascending order."""
-    fams = []
-    for i in ctx._strand_perm.fixed_points():
-        lam = _conjugator_of(apply(ctx.theta, FreeWord(ctx.rank, (i,))), i)
-        if lam is None:  # braid images are conjugates of generators
-            raise AssertionError(f"image of x{i} is not a conjugate of x{i}")
-        fams.append(DegenerateFamily(i, lam))
-    return tuple(fams)
+    return TwistContext.create(_iterate(beta, m))._families
 
 
 def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[DegenerateFamily, ...]) -> Decision:
@@ -560,18 +550,18 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
     twisted_conj, so only that one is built and searched, and only when
     |k| <= k_max.
     """
-    k_max = ctx.bounds.k_max
-    if not families:
-        return Decision("no", None, ("families", k_max))
     if any(w.rank != ctx.rank for w in (gamma, *(fam.conj for fam in families))):
         raise ValueError("rank mismatch")
     if any(fam.strand > ctx.rank for fam in families):
         raise ValueError(f"family strand out of range 1..{ctx.rank}")
+    k_max = ctx.bounds.k_max
+    if not families:  # reads no invariant, which a theta without a strand permutation lacks
+        return Decision("no", None, ("families", k_max))
     target = abelian_invariant(ctx, gamma)
     saw_unknown = False
     for fam in families:
         top = ctx._cycle_top[fam.strand - 1]
-        gap = [t - c for t, c in zip(target, _cycle_sums(ctx, fam._exponents))]
+        gap = [t - c for t, c in zip(target, abelian_invariant(ctx, fam.conj))]
         k = gap[top]
         gap[top] = 0
         if any(gap) or abs(k) > k_max:
@@ -595,7 +585,7 @@ def _analyse(theta: FreeEndo, bounds: SearchBounds) -> tuple[TwistContext, Merge
 
     theta is the iterate _iterate(beta, m), which its caller has already
     folded: is_forced also compares it with the candidate's base.  Callers
-    that judge degeneracy take theta's families from _families(ctx).
+    that judge degeneracy take theta's families from ctx._families.
     """
     ctx = TwistContext.create(theta, bounds)
     return ctx, merge(ctx, raw_trace(theta))

@@ -178,6 +178,15 @@ def test_permutation_compose_rejects_a_size_mismatch():
     assert small.compose(small) == Permutation((1, 2))
 
 
+@pytest.mark.parametrize("k", [0, -1, 4, True, 1.0, "1", None])
+def test_permutation_apply_rejects_a_strand_outside_1_to_n(k):
+    # 0 and -1 used to index from the end, and True to read strand 1
+    p = Permutation((2, 1, 3))
+    with pytest.raises(ValueError, match=r"strand must be an integer in 1\.\.3"):
+        p.apply(k)
+    assert [p.apply(i) for i in (1, 2, 3)] == [2, 1, 3]
+
+
 def test_fixes_last_strand():
     assert fixes_last_strand(parse_braid("s1", 3))
     assert not fixes_last_strand(parse_braid("s2", 3))

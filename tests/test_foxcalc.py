@@ -177,6 +177,13 @@ def test_ring_validation():
         fox(gen(2, 1), 3)
 
 
+@pytest.mark.parametrize("j", [True, False, 2.0, "1", None, 0, 3])
+def test_fox_rejects_an_index_that_is_not_a_generator(j):
+    # True and 2.0 used to pass as x1 and x2
+    with pytest.raises(ValueError, match="generator index"):
+        fox(parse_word("x1 x2", 2), j)
+
+
 def test_direct_construction_checks_order_and_duplicates():
     # from_terms sorts and collects, so it skips the order check; building the
     # element directly keeps it

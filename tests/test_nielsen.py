@@ -107,13 +107,21 @@ def test_abelian_invariant_is_twisted_conjugacy_invariant():
         assert abelian_invariant(ctx, u) == abelian_invariant(ctx, v)
 
 
+def _cycle_sums(ctx, w):
+    """The exponent sum of w over each strand cycle, at the cycle's slot: the reference."""
+    sums = [0] * ctx.rank
+    for e, top in zip(abelianize(w), ctx._cycle_top):
+        sums[top] += e
+    return tuple(sums)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_abelian_invariant_memo_equals_the_cycle_sums(data):
     ctx = data.draw(small_twists())
     for w in data.draw(st.lists(words(ctx.rank, 8), max_size=6)):
-        assert abelian_invariant(ctx, w) == nielsen._cycle_sums(ctx, abelianize(w))
-        assert abelian_invariant(ctx, w) == nielsen._cycle_sums(ctx, abelianize(w))  # from the memo
+        assert abelian_invariant(ctx, w) == _cycle_sums(ctx, w)
+        assert abelian_invariant(ctx, w) == _cycle_sums(ctx, w)  # from the memo
 
 
 def test_abelian_invariant_memo_is_per_context():
@@ -357,6 +365,12 @@ def test_is_degenerate_without_families():
     ctx = ctx_for(parse_braid("s1", 2))
     d = is_degenerate(ctx, gen(2, 1), ())
     assert d.is_no
+    assert d.certificate == ("families", 6)
+    # no families skip no check: gamma of the wrong rank raises, as it does with families
+    with pytest.raises(ValueError, match="rank mismatch"):
+        is_degenerate(ctx, gen(3, 3), ())
+    with pytest.raises(ValueError, match="rank mismatch"):
+        is_degenerate(ctx_for(BraidWord.identity(2)), gen(3, 3), degenerate_families(BraidWord.identity(2), 1))
 
 
 def test_essential_nondegenerate_sigma1():
@@ -810,9 +824,24 @@ def test_family_exponents_leave_equality_and_hash_alone():
     fams = degenerate_families(parse_braid("s1 s2^-1", 3), 3)
     assert len(fams) == 3
     before = [hash(fam) for fam in fams]
-    assert [fam._exponents for fam in fams] == [abelianize(fam.conj) for fam in fams]
+    ctx = TwistContext.create(endo_power(artin(parse_braid("s1 s2^-1", 3)), 3))
+    # no family matches, so every family's invariant is read
+    assert is_degenerate(ctx, FreeWord.identity(3), fams).certificate == ("families", 6)
     assert [hash(fam) for fam in fams] == before
     assert fams == _perm_families(parse_braid("s1 s2^-1", 3), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_context_families_equal_degenerate_families_and_are_built_once(data):
+    n = data.draw(st.integers(2, 4))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=4))))
+    m = data.draw(st.integers(1, 3))
+    ctx = TwistContext.create(endo_power(artin(beta), m))
+    fams = ctx._families
+    assert fams == degenerate_families(beta, m)
+    assert ctx._families is fams
 
 
 @pytest.mark.parametrize("images", [("x1 x1", "x2"), ("x2 x1 x2^-1", "x1")])

@@ -75,6 +75,17 @@ def test_the_image_cap_is_enforced_in_one_fold():
     assert found == [("braid.py", "_fold")]
 
 
+def test_nielsen_abelianizes_in_abelian_invariant_and_the_strand_permutation_only():
+    # every class invariant, a degenerate family's included, is read through
+    # abelian_invariant and its per-context memo
+    path = PACKAGE / "nielsen.py"
+    found = set()
+    for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "abelianize":
+            found.add(scope)
+    assert found == {"abelian_invariant", "TwistContext._strand_perm"}
+
+
 def test_all_is_exactly_the_public_names_bound_in_the_package():
     # an import without an export, or an export without an import, fails
     bound = {

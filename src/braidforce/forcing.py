@@ -4,14 +4,14 @@ Every essential, non-degenerate twisted conjugacy class of the m-th iterate
 of a braid contributes one braid on n+1 strands that every homeomorphism
 inducing the braid must exhibit among its m-th iterate orbits.  This module
 assembles those braids, tracks how bounded-search Unknowns affect the
-answer, and renders the result as text or a JSON document.
+answer, and renders the result as a JSON document and that document as text.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .augbraid import AugBraid, format_aug, to_word
+from .augbraid import AugBraid, to_word
 from .braid import BraidWord, artin, format_braid, power
 from .freegroup import FreeWord, format_word
 from .nielsen import (
@@ -66,8 +66,10 @@ def forced_set(
     No; permissive mode also keeps Unknowns.  With boundary_fixed, classes
     equivalent to the empty tail are removed as well, since they are
     realized on the boundary.  exact is False whenever any Unknown decision
-    could have changed the answer.
+    could have changed the answer.  Both flags must be bools.
     """
+    if type(boundary_fixed) is not bool or type(permissive) is not bool:
+        raise ValueError(f"flags must be bools, got boundary_fixed={boundary_fixed!r}, permissive={permissive!r}")
     ctx, trace = _analyse(_iterate(beta, m), bounds)
     base = power(beta, m)
     identity = FreeWord(beta.strands)
@@ -140,45 +142,6 @@ def is_forced(
 # rendering
 
 
-def _decision_str(d: Decision | None) -> str:
-    return "-" if d is None else d.kind
-
-
-def report_text(report: ForcingReport) -> str:
-    lines = [
-        f"braid: {format_braid(report.beta)}",
-        f"strands: {report.beta.strands}",
-        f"iterate m: {report.m}",
-        f"base word: {format_braid(report.base)}",
-        "bounds: " + " ".join(f"{k}={v}" for k, v in asdict(report.bounds).items()),
-        f"boundary_fixed: {'yes' if report.boundary_fixed else 'no'}",
-        f"permissive: {'yes' if report.permissive else 'no'}",
-        f"trace: {format_trace(report.trace)}",
-        "classes:",
-    ]
-    if not report.classes:
-        lines.append("  none")
-    for c in report.classes:
-        mark = "+" if c.coefficient > 0 else ""
-        row = (
-            f"  coeff={mark}{c.coefficient} rep=[{format_word(c.representative)}]"
-            f" degenerate={c.degeneracy.kind} label={c.abelian_label}"
-        )
-        if report.boundary_fixed:
-            row += f" boundary={_decision_str(c.boundary)}"
-        lines.append(row)
-    lines.append(f"forced count: {len(report.forced)}")
-    for a in report.forced:
-        lines.append(f"  {format_aug(a)} word: {format_braid(to_word(a))}")
-    if report.trace.unresolved:
-        lines.append("unresolved pairs:")
-        lines += (f"  [{a}] ~? [{b}]" for a, b in _format_pairs(report.trace.unresolved))
-    else:
-        lines.append("unresolved pairs: none")
-    lines.append(f"exact: {'yes' if report.exact else 'no'}")
-    return "\n".join(lines)
-
-
 def report_json(report: ForcingReport) -> dict:
     # forced_set gives every forced braid its class's representative as
     # tail, the very object: keyed by identity, each is formatted once, so
@@ -216,3 +179,38 @@ def report_json(report: ForcingReport) -> dict:
         "unresolved": _format_pairs(report.trace.unresolved),
         "exact": report.exact,
     }
+
+
+def report_text(doc: dict) -> str:
+    """The text form of a report_json document."""
+    lines = [
+        f"braid: {doc['beta']}",
+        f"strands: {doc['n']}",
+        f"iterate m: {doc['m']}",
+        f"base word: {doc['base_word']}",
+        "bounds: " + " ".join(f"{k}={v}" for k, v in doc["bounds"].items()),
+        f"boundary_fixed: {'yes' if doc['boundary_fixed'] else 'no'}",
+        f"permissive: {'yes' if doc['permissive'] else 'no'}",
+        f"trace: {doc['trace']}",
+        "classes:",
+    ]
+    if not doc["classes"]:
+        lines.append("  none")
+    for c in doc["classes"]:
+        mark = "+" if c["coefficient"] > 0 else ""
+        row = (
+            f"  coeff={mark}{c['coefficient']} rep=[{c['representative']}]"
+            f" degenerate={c['degeneracy']} label={tuple(c['abelian_label'])}"
+        )
+        if doc["boundary_fixed"]:
+            row += f" boundary={c['boundary'] or '-'}"
+        lines.append(row)
+    lines.append(f"forced count: {len(doc['forced'])}")
+    lines += (f"  ({f['base']} ; {f['tail']}) word: {f['word']}" for f in doc["forced"])
+    if doc["unresolved"]:
+        lines.append("unresolved pairs:")
+        lines += (f"  [{a}] ~? [{b}]" for a, b in doc["unresolved"])
+    else:
+        lines.append("unresolved pairs: none")
+    lines.append(f"exact: {'yes' if doc['exact'] else 'no'}")
+    return "\n".join(lines)

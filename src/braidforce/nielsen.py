@@ -348,9 +348,11 @@ def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
     strand of each cycle c, signed as I_c, in ascending order; see
     _floor).  So a w at its floor is returned without a walk, and a walk
     stops once it reaches the floor, with the full walk's result.  Results
-    are cached per context.  This is a display normal form, not a complete
-    invariant: words of the same class canonicalize consistently only when
-    the search radius reaches the connecting conjugator.
+    sit in one process-wide lru_cache of 8192 entries keyed by (context,
+    word), so contexts that compare equal share them.  This is a display
+    normal form, not a complete invariant: words of the same class
+    canonicalize consistently only when the search radius reaches the
+    connecting conjugator.
 
     The context needs theta's strand permutation for the floor: for a theta
     that has none, this raises ValueError, as twisted_conj and merge do.

@@ -12,7 +12,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidforce import cli
+from braidforce import BraidWord, cli, format_braid, perm, power
 
 WORKED = "s1 s2 s3^-1 s4^-1"
 ROUND_TRIP_PAST_THE_CAP = "s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1"
@@ -1254,6 +1254,28 @@ def test_cli_golden_both_modes(argv, code, stdout, stderr, capsys, monkeypatch):
     except SystemExit as exc:  # argparse exits on a usage error
         got = exc.code
     assert (got, *capsys.readouterr()) == (code, stdout, stderr)
+
+
+def test_perm_at_a_huge_iterate_prints_what_its_residue_prints(capsys):
+    # every cycle of the worked braid's permutation has length 5, and
+    # 10**18 + 2 = 2 mod 5; spelling beta^m letter by letter ran out of memory
+    argv = ['perm', '-n', '5', '--braid', WORKED, '-m']
+    assert cli.main(argv + ['2']) == 0
+    small = capsys.readouterr()
+    assert cli.main(argv + ['1000000000000000002']) == 0
+    assert capsys.readouterr() == small
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_perm_moves_each_strand_along_its_cycle_as_the_spelled_power_does(data):
+    n = data.draw(st.integers(2, 6))
+    letters = data.draw(st.lists(st.integers(1, n - 1).flatmap(lambda k: st.sampled_from([k, -k])), max_size=8))
+    m = data.draw(st.integers(1, 13))
+    beta = BraidWord(n, tuple(letters))
+    args = cli.build_parser().parse_args(['perm', '-n', str(n), '--braid', format_braid(beta), '-m', str(m), '--json'])
+    code, doc = args.run(args)
+    assert (code, doc["perm"]) == (0, list(perm(power(beta, m)).images))
 
 
 # the --json writer against the standard encoder

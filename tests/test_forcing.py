@@ -233,8 +233,18 @@ def test_iterate_count_must_be_an_int(entry, m):
         entry(m)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [(1, False), (False, 0), ("no", False), (False, "yes"), (None, False), (False, 1.0)],
+    ids=["int", "zero", "str", "str-permissive", "none", "float"],
+)
+def test_forced_set_flags_must_be_bools(flags):
+    with pytest.raises(ValueError, match="flags must be bools"):
+        forced_set(BETA5, 1, SearchBounds(), *flags)
+
+
 def test_report_text_contents():
-    text = report_text(forced_set(BETA5, 1))
+    text = report_text(report_json(forced_set(BETA5, 1)))
     assert "trace: +[x1] +[x5^-1] -[e]" in text
     assert "forced count: 3" in text
     assert "exact: yes" in text

@@ -47,6 +47,17 @@ def test_only_cli_main_prints():
     assert found == []
 
 
+def test_only_cli_main_reads_the_json_flag():
+    # every command returns its document and main alone picks JSON or text,
+    # so text is rendered from the --json document
+    path = PACKAGE / "cli.py"
+    found = set()
+    for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "json" and isinstance(node.value, ast.Name):
+            found.add(f"{node.value.id}.json in {scope or '<module>'}")
+    assert found == {"args.json in main"}
+
+
 def test_no_json_dumps_call_indents():
     # the standard encoder runs in pure Python when indent is set; --json
     # text is written by cli._json_text alone

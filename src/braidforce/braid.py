@@ -45,15 +45,8 @@ class BraidWord:
                     f"letter {k!r} out of range for {self.strands} strands"
                 )
 
-    @classmethod
-    def identity(cls, strands: int) -> BraidWord:
-        return cls(strands, ())
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        return braid_mul(self, other)
 
     def __repr__(self) -> str:
         return f"BraidWord({self.strands}, {format_braid(self)!r})"
@@ -67,23 +60,13 @@ def _braid(strands: int, letters: tuple[int, ...]) -> BraidWord:
     return b
 
 
-def braid_mul(b1: BraidWord, b2: BraidWord) -> BraidWord:
-    if b1.strands != b2.strands:
-        raise ValueError("strand count mismatch")
-    return BraidWord(b1.strands, b1.letters + b2.letters)
-
-
-def braid_invert(b: BraidWord) -> BraidWord:
-    return BraidWord(b.strands, tuple(-k for k in reversed(b.letters)))
-
-
 def power(b: BraidWord, m: int) -> BraidWord:
-    """The word b^m; negative m uses the letterwise inverse word."""
+    """The word b^m for m >= 0; m = 0 gives the empty word."""
     if not _is_int(m):
         raise ValueError(f"exponent m must be an integer, got {m!r}")
-    if m >= 0:
-        return BraidWord(b.strands, b.letters * m)
-    return BraidWord(b.strands, braid_invert(b).letters * (-m))
+    if m < 0:
+        raise ValueError(f"exponent m must be >= 0, got {m}")
+    return BraidWord(b.strands, b.letters * m)
 
 
 @dataclass(frozen=True)
@@ -99,17 +82,6 @@ class Permutation:
         # a bool or float image compares equal to an int: counted as 0, it is never in 1..n
         if sorted([k if _is_int(k) else 0 for k in self.images]) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    def apply(self, k: int) -> int:
-        if not _is_int(k) or not 1 <= k <= len(self.images):
-            raise ValueError(f"strand must be an integer in 1..{len(self.images)}, got {k!r}")
-        return self.images[k - 1]
-
-    def compose(self, other: Permutation) -> Permutation:
-        # diagrammatic: self first, then other
-        if len(self.images) != len(other.images):
-            raise ValueError(f"size mismatch: {len(self.images)} != {len(other.images)}")
-        return Permutation(tuple(other.apply(i) for i in self.images))
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(k for k, img in enumerate(self.images, 1) if img == k)

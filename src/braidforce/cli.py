@@ -266,6 +266,7 @@ def _cmd_is_forced(args) -> tuple[int, dict]:
     if args.aug is not None:
         cand = parse_aug(args.aug, args.strands)
     elif args.word is not None:
+        _check_iterate(args.m)  # before power, so a bad m gets the message every command gives
         cand = AugBraid(power(beta, args.m), parse_word(args.word, args.strands))
     else:
         cand = from_word(parse_braid(args.cand, args.strands + 1))

@@ -50,25 +50,6 @@ class GroupRingElem:
         object.__setattr__(elem, "terms", terms)
         return elem
 
-    @classmethod
-    def zero(cls, rank: int) -> GroupRingElem:
-        return cls(rank, ())
-
-    @classmethod
-    def one(cls, rank: int) -> GroupRingElem:
-        return cls(rank, ((FreeWord(rank), 1),))
-
-    def __add__(self, other: GroupRingElem) -> GroupRingElem:
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        return GroupRingElem.from_terms(self.rank, self.terms + other.terms)
-
-    def __neg__(self) -> GroupRingElem:
-        return GroupRingElem(self.rank, tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: GroupRingElem) -> GroupRingElem:
-        return self + (-other)
-
 
 def _check_terms(rank: int, terms) -> None:
     """ValueError unless rank is a positive int and terms a tuple of (FreeWord of that rank, nonzero int)."""

@@ -81,15 +81,8 @@ class FreeWord:
             if a == -b:
                 raise ValueError("word is not freely reduced; use reduce()")
 
-    @classmethod
-    def identity(cls, rank: int) -> FreeWord:
-        return cls(rank, ())
-
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __mul__(self, other: FreeWord) -> FreeWord:
-        return concat(self, other)
 
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {format_word(self)!r})"

@@ -2,12 +2,13 @@
 
 Nothing in the package, the command line or the benchmark calls these
 helpers: each one exists to check another function against an independent
-spelling of the same thing (pure braid generators, the conjugation action
-on tails, products in Z[F_n] and in semidirect coordinates, the abelianized
-matrix of an endomorphism, a general free-group conjugator, the section of
-a base braid).  They were written against the package's
-conventions and are kept here unchanged, so a change to the package that
-moves a convention fails the tests that compare against them.
+spelling of the same thing (the braid product and inverse, pure braid
+generators, the conjugation action on tails, products in Z[F_n] and in
+semidirect coordinates, the abelianized matrix of an endomorphism, a
+general free-group conjugator, the section of a base braid).  They were
+written against the package's conventions and are kept here unchanged, so
+a change to the package that moves a convention fails the tests that
+compare against them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 
 from braidforce.augbraid import AugBraid, _phi_letters
-from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, _pure_letters, artin, braid_eq, braid_invert, braid_mul, perm
+from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, _pure_letters, artin, braid_eq, perm
 from braidforce.forcing import ForcingReport, report_json
 from braidforce.foxcalc import GroupRingElem
 from braidforce.freegroup import FreeEndo, FreeWord, _word, abelianize, apply, concat, format_word, invert
@@ -24,8 +25,20 @@ from braidforce.freegroup import FreeEndo, FreeWord, _word, abelianize, apply, c
 # braid
 
 
+def braid_mul(b1: BraidWord, b2: BraidWord) -> BraidWord:
+    """The product b1 b2: b1's letters, then b2's."""
+    if b1.strands != b2.strands:
+        raise ValueError("strand count mismatch")
+    return BraidWord(b1.strands, b1.letters + b2.letters)
+
+
+def braid_invert(b: BraidWord) -> BraidWord:
+    """The inverse word: b's letters reversed, each inverted."""
+    return BraidWord(b.strands, tuple(-k for k in reversed(b.letters)))
+
+
 def fixes_last_strand(b: BraidWord) -> bool:
-    return perm(b).apply(b.strands) == b.strands
+    return perm(b).images[b.strands - 1] == b.strands
 
 
 def pure_gen(i: int, j: int, strands: int) -> BraidWord:

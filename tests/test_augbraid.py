@@ -20,10 +20,21 @@ from braidforce import (
     to_word,
 )
 from braidforce.freegroup import _conjugator_of, apply, reduce
-from braidforce.braid import _pure_letters, braid_invert, braid_mul
+from braidforce.braid import _pure_letters
 from braidforce import augbraid
 from braidforce.augbraid import _delete_last_strand, _phi_letters, parse_aug
-from oracles import act, aug_eq, compose as aug_compose, fixes_last_strand, gen, phi_word, pure_gen, section_word
+from oracles import (
+    act,
+    aug_eq,
+    braid_invert,
+    braid_mul,
+    compose as aug_compose,
+    fixes_last_strand,
+    gen,
+    phi_word,
+    pure_gen,
+    section_word,
+)
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -37,7 +48,7 @@ def rand_aug(rng, n, base_len=4, tail_len=3):
 
 
 def all_short_words(n):
-    out = [FreeWord.identity(n)]
+    out = [FreeWord(n)]
     out += [gen(n, i) for i in range(1, n + 1)]
     out += [FreeWord(n, (-i,)) for i in range(1, n + 1)]
     out += [reduce(n, (1, 2)), reduce(n, (-1, 2)), reduce(n, (2, -1))]
@@ -81,8 +92,8 @@ reduced_words = st.integers(1, 7).flatmap(
 
 
 @given(reduced_words)
-@example(FreeWord.identity(1))
-@example(FreeWord.identity(7))
+@example(FreeWord(1))
+@example(FreeWord(7))
 def test_phi_letters_match_reference(u):
     assert _phi_letters(u) == ref_phi_letters(u)
 
@@ -141,7 +152,7 @@ def test_to_word_golden_five_strand():
     assert braid_eq(to_word(a1), braid_mul(iota, pure_gen(1, 6, 6)))
     a2 = AugBraid(BETA5, parse_word("x5^-1", 5))
     assert braid_eq(to_word(a2), braid_mul(iota, braid_invert(pure_gen(5, 6, 6))))
-    a3 = AugBraid(BETA5, FreeWord.identity(5))
+    a3 = AugBraid(BETA5, FreeWord(5))
     assert braid_eq(to_word(a3), iota)
 
 
@@ -178,7 +189,7 @@ def last_strand_fixing_words(draw):
     strands = draw(st.integers(2, 5))
     pool = [k for i in range(1, strands) for k in (i, -i)]
     letters = draw(st.lists(st.sampled_from(pool), max_size=8))
-    position = perm(BraidWord(strands, tuple(letters))).apply(strands)
+    position = perm(BraidWord(strands, tuple(letters))).images[strands - 1]
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=strands, max_size=strands))
     letters += [signs[i] * i for i in range(position, strands)]
     return BraidWord(strands, tuple(letters))
@@ -200,7 +211,7 @@ def test_from_word_sees_through_rewriting():
     # same braid spelled differently still splits into equivalent coordinates
     a = AugBraid(parse_braid("s1 s2", 3), parse_word("x2 x3^-1", 3))
     w = to_word(a)
-    rewritten = braid_mul(braid_mul(w, BraidWord(4, (2, 2, -2, -2))), BraidWord.identity(4))
+    rewritten = braid_mul(braid_mul(w, BraidWord(4, (2, 2, -2, -2))), BraidWord(4))
     back = from_word(rewritten)
     assert aug_eq(back, a)
 
@@ -226,8 +237,8 @@ def aug_braids(draw):
 
 @settings(deadline=None)
 @given(aug_braids())
-@example(AugBraid(parse_braid("s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1", 3), FreeWord.identity(3)))
-@example(AugBraid(BraidWord.identity(1), FreeWord(1, (1,) * 33)))
+@example(AugBraid(parse_braid("s2 s1^-1 s1^-1 s2 s1^-1 s1^-1 s2 s1^-1 s1^-1", 3), FreeWord(3)))
+@example(AugBraid(BraidWord(1), FreeWord(1, (1,) * 33)))
 def test_round_trip_refuses_only_where_the_full_fold_does(a):
     # a round trip folds x_{n+1} alone and is verified by its letters: it
     # returns its input, and refuses only where artin itself refuses
@@ -285,7 +296,7 @@ def test_from_word_verification_catches_a_wrong_base_or_tail(fault, name, monkey
 
 def test_from_word_refuses_an_input_longer_than_the_cap():
     # s1 fixes x3, so no image grows: only the input's own length is capped
-    assert from_word(BraidWord(3, (1,) * 128)) == AugBraid(BraidWord(2, (1,) * 128), FreeWord.identity(2))
+    assert from_word(BraidWord(3, (1,) * 128)) == AugBraid(BraidWord(2, (1,) * 128), FreeWord(2))
     with pytest.raises(ValueError, match=r"^input word has 129 letters \(cap 128\)$"):
         from_word(BraidWord(3, (1,) * 129))
     with pytest.raises(ValueError, match=r"^input word has 5 letters \(cap 4\)$"):

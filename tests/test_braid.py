@@ -17,13 +17,8 @@ from braidforce import (
     power,
 )
 from braidforce.freegroup import FreeEndo, compose
-from braidforce.braid import (
-    DEFAULT_MAX_LETTERS,
-    _letter_endo,
-    braid_invert,
-    braid_mul,
-)
-from oracles import artin_apply, fixes_last_strand, gen, pure_gen
+from braidforce.braid import DEFAULT_MAX_LETTERS, _letter_endo
+from oracles import artin_apply, braid_invert, braid_mul, fixes_last_strand, gen, pure_gen
 
 
 def rand_braid(rng, strands, max_len=6):
@@ -44,11 +39,8 @@ def test_braid_word_validation():
 def test_mul_invert_power():
     b = parse_braid("s1 s2^-1", 3)
     assert braid_mul(b, b).letters == (1, -2, 1, -2)
-    assert braid_invert(b).letters == (2, -1)
-    assert power(b, 0) == BraidWord.identity(3)
+    assert power(b, 0) == BraidWord(3)
     assert power(b, 2).letters == (1, -2, 1, -2)
-    assert power(b, -1) == braid_invert(b)
-    assert braid_eq(power(b, -2), braid_invert(power(b, 2)))
 
 
 def test_perm_golden_five_strand():
@@ -69,7 +61,8 @@ def test_perm_is_multiplicative():
     for _ in range(100):
         b1 = rand_braid(rng, 4)
         b2 = rand_braid(rng, 4)
-        assert perm(braid_mul(b1, b2)) == perm(b1).compose(perm(b2))
+        p1, p2 = perm(b1).images, perm(b2).images
+        assert perm(braid_mul(b1, b2)).images == tuple(p2[i - 1] for i in p1)
 
 
 def test_pure_gen_goldens():
@@ -126,7 +119,7 @@ def test_artin_image_is_conjugate_of_generator():
             for k in img.letters:
                 total[abs(k) - 1] += 1 if k > 0 else -1
             want = [0, 0, 0, 0]
-            want[p.apply(i) - 1] = 1
+            want[p.images[i - 1] - 1] = 1
             assert total == want
 
 
@@ -145,7 +138,7 @@ def test_braid_eq_identities_and_differences():
     rng = random.Random(25)
     for _ in range(50):
         b = rand_braid(rng, 4)
-        assert braid_eq(braid_mul(b, braid_invert(b)), BraidWord.identity(4))
+        assert braid_eq(braid_mul(b, braid_invert(b)), BraidWord(4))
         assert not braid_eq(b, braid_mul(b, BraidWord(4, (1,))))
     assert not braid_eq(parse_braid("s1", 3), parse_braid("s1^-1", 3))
     assert not braid_eq(parse_braid("s1", 3), parse_braid("s2", 3))
@@ -169,29 +162,17 @@ def test_power_rejects_a_non_integer_exponent(m):
         power(parse_braid("s1", 2), m)
 
 
-def test_permutation_compose_rejects_a_size_mismatch():
-    small, large = Permutation((2, 1)), Permutation((1, 2, 3))
-    with pytest.raises(ValueError, match="size mismatch"):
-        small.compose(large)
-    with pytest.raises(ValueError, match="size mismatch"):
-        large.compose(small)
-    assert small.compose(small) == Permutation((1, 2))
-
-
-@pytest.mark.parametrize("k", [0, -1, 4, True, 1.0, "1", None])
-def test_permutation_apply_rejects_a_strand_outside_1_to_n(k):
-    # 0 and -1 used to index from the end, and True to read strand 1
-    p = Permutation((2, 1, 3))
-    with pytest.raises(ValueError, match=r"strand must be an integer in 1\.\.3"):
-        p.apply(k)
-    assert [p.apply(i) for i in (1, 2, 3)] == [2, 1, 3]
+def test_power_rejects_a_negative_exponent():
+    # like endo_power: no pipeline step inverts a braid
+    with pytest.raises(ValueError, match="exponent m must be >= 0, got -1"):
+        power(parse_braid("s1", 2), -1)
 
 
 def test_fixes_last_strand():
     assert fixes_last_strand(parse_braid("s1", 3))
     assert not fixes_last_strand(parse_braid("s2", 3))
     assert fixes_last_strand(parse_braid("s2 s2", 3))
-    assert fixes_last_strand(BraidWord.identity(2))
+    assert fixes_last_strand(BraidWord(2))
 
 
 def test_word_too_long_raises():
@@ -212,7 +193,7 @@ def test_artin_apply():
 def test_parse_braid_grammars():
     assert parse_braid("s1 s2^-1", 3).letters == (1, -2)
     assert parse_braid("1 -2", 3).letters == (1, -2)
-    assert parse_braid("e", 3) == BraidWord.identity(3)
+    assert parse_braid("e", 3) == BraidWord(3)
     with pytest.raises(ValueError):
         parse_braid("s3", 3)
     with pytest.raises(ValueError):

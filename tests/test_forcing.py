@@ -24,11 +24,10 @@ from braidforce import (
     reidemeister_trace,
     to_word,
 )
-from braidforce.braid import braid_invert, braid_mul
 from braidforce.forcing import report_json, report_text
 from braidforce import nielsen
 from braidforce.cli import main
-from oracles import aug_eq, pure_gen, report_json_text
+from oracles import aug_eq, braid_invert, braid_mul, pure_gen, report_json_text
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 IOTA5 = BraidWord(6, BETA5.letters)
@@ -36,7 +35,7 @@ IOTA5 = BraidWord(6, BETA5.letters)
 
 def test_trivial_braid_forces_nothing():
     for n in (2, 3):
-        rep = forced_set(BraidWord.identity(n), 1)
+        rep = forced_set(BraidWord(n), 1)
         assert rep.forced == ()
         assert rep.exact
         assert len(rep.classes) == 1
@@ -134,7 +133,7 @@ def test_is_forced_base_mismatch():
     assert d.certificate == ("base_mismatch",)
     # the fifth power of s1 s2^-1, folded as one word, grows past the image
     # cap; theta is the fifth iterate of beta's own action, which no cap limits
-    d = is_forced(AugBraid(parse_braid("s1", 3), FreeWord.identity(3)), parse_braid("s1 s2^-1", 3), 5)
+    d = is_forced(AugBraid(parse_braid("s1", 3), FreeWord(3)), parse_braid("s1 s2^-1", 3), 5)
     assert d.is_no
     assert d.certificate == ("base_mismatch",)
 
@@ -404,16 +403,26 @@ def test_cli_reports_failed_verification(monkeypatch, capsys):
     assert captured.err == "error: internal check failed: twisted conjugacy witness failed verification\n"
 
 
+_PIPELINE_COMMANDS = [
+    ["is-forced", "-n", "2", "--braid", "s1", "--word", "x1"],
+    ["forced", "-n", "2", "--braid", "s1"],
+    ["trace", "-n", "2", "--braid", "s1"],
+    ["degenerate", "-n", "2", "--braid", "s1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["twisted-conj", "-n", "2", "--braid", "s1", "-m", "0", "--word", "x1", "--word", "x2"],
-        ["action", "-n", "2", "--braid", "s1", "-m", "0"],
-        ["perm", "-n", "2", "--braid", "s1", "-m", "0"],
+        pytest.param(["twisted-conj", "-n", "2", "--braid", "s1", "-m", "0", "--word", "x1", "--word", "x2"], id="twisted-conj"),
+        pytest.param(["action", "-n", "2", "--braid", "s1", "-m", "0"], id="action"),
+        pytest.param(["perm", "-n", "2", "--braid", "s1", "-m", "0"], id="perm"),
+        *(pytest.param([*cmd, "-m", m], id=f"{cmd[0]}-m{m}") for cmd in _PIPELINE_COMMANDS for m in ("0", "-1")),
     ],
-    ids=["twisted-conj", "action", "perm"],
 )
 def test_cli_rejects_zero_iterate(argv, capsys):
+    # is-forced --word spells its base as power(beta, m), which words a
+    # negative m its own way, so the command checks m before calling it
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -89,7 +89,7 @@ def test_abelian_invariant_five_strand():
     labels = {
         "x1": abelian_invariant(ctx, parse_word("x1", 5)),
         "x5^-1": abelian_invariant(ctx, parse_word("x5^-1", 5)),
-        "e": abelian_invariant(ctx, FreeWord.identity(5)),
+        "e": abelian_invariant(ctx, FreeWord(5)),
     }
     assert len(set(labels.values())) == 3
     # the five-cycle identifies all generators, leaving total exponent
@@ -127,7 +127,7 @@ def test_abelian_invariant_memo_equals_the_cycle_sums(data):
 def test_abelian_invariant_memo_is_per_context():
     # BETA5 permutes the strands in one 5-cycle; the trivial braid fixes each
     w = parse_word("x1 x2", 5)
-    cycled, fixed = ctx_for(BETA5), ctx_for(BraidWord.identity(5))
+    cycled, fixed = ctx_for(BETA5), ctx_for(BraidWord(5))
     assert abelian_invariant(cycled, w) == (0, 0, 0, 0, 2)
     assert abelian_invariant(fixed, w) == (1, 1, 0, 0, 0)
     assert abelian_invariant(cycled, w) == (0, 0, 0, 0, 2)
@@ -148,7 +148,7 @@ def test_abelian_invariant_abelianizes_a_word_once_per_context(monkeypatch):
 
 def test_twisted_conj_golden_yes():
     ctx = ctx_for(BETA5)
-    d = twisted_conj(ctx, FreeWord.identity(5), parse_word("x5^-1 x4", 5))
+    d = twisted_conj(ctx, FreeWord(5), parse_word("x5^-1 x4", 5))
     assert d.is_yes
     assert format_word(d.witness) == "x5"
     d2 = twisted_conj(ctx, parse_word("x1 x2 x5 x2^-1 x1^-1", 5), parse_word("x1", 5))
@@ -167,12 +167,12 @@ def test_twisted_conj_no_certificate():
 
 
 def test_twisted_conj_unknown_on_exhaustion():
-    ctx0 = ctx_for(BraidWord.identity(2), radius=0)
+    ctx0 = ctx_for(BraidWord(2), radius=0)
     d = twisted_conj(ctx0, gen(2, 1), parse_word("x2 x1 x2^-1", 2))
     assert d.is_unknown
     assert d.certificate == ("radius", 0)
     # radius 1 reaches the conjugate
-    ctx1 = ctx_for(BraidWord.identity(2), radius=1)
+    ctx1 = ctx_for(BraidWord(2), radius=1)
     d1 = twisted_conj(ctx1, gen(2, 1), parse_word("x2 x1 x2^-1", 2))
     assert d1.is_yes and format_word(d1.witness) == "x2"
 
@@ -202,7 +202,7 @@ def test_twisted_conj_construct_then_decide():
 
 
 def test_twisted_conj_rank_mismatch():
-    ctx = ctx_for(BraidWord.identity(2))
+    ctx = ctx_for(BraidWord(2))
     with pytest.raises(ValueError):
         twisted_conj(ctx, gen(3, 1), gen(3, 1))
 
@@ -212,12 +212,12 @@ def test_canonical_rep():
     assert format_word(canonical_rep(ctx, parse_word("x1 x2 x5 x2^-1 x1^-1", 5))) == "x1"
     assert format_word(canonical_rep(ctx, parse_word("x5^-1", 5))) == "x5^-1"
     assert format_word(canonical_rep(ctx, parse_word("x1", 5))) == "x1"
-    ctx_id = ctx_for(BraidWord.identity(2), radius=2)
+    ctx_id = ctx_for(BraidWord(2), radius=2)
     assert format_word(canonical_rep(ctx_id, parse_word("x2 x1 x2^-1", 2))) == "x1"
 
 
 def test_merge_plain_conjugacy():
-    ctx = ctx_for(BraidWord.identity(2), radius=2)
+    ctx = ctx_for(BraidWord(2), radius=2)
     raw = GroupRingElem.from_terms(
         2, [(parse_word("x2 x1 x2^-1", 2), 1), (parse_word("x1", 2), 1)]
     )
@@ -230,7 +230,7 @@ def test_merge_plain_conjugacy():
 
 
 def test_merge_cancellation():
-    ctx = ctx_for(BraidWord.identity(2), radius=2)
+    ctx = ctx_for(BraidWord(2), radius=2)
     w = parse_word("x1 x2", 2)
     raw = GroupRingElem.from_terms(2, [(w, 1), (concat(gen(2, 1), w, invert(gen(2, 1))), -1)])
     mt = merge(ctx, raw)
@@ -239,7 +239,7 @@ def test_merge_cancellation():
 
 
 def test_merge_records_unresolved_pairs():
-    ctx = ctx_for(BraidWord.identity(2), radius=0)
+    ctx = ctx_for(BraidWord(2), radius=0)
     raw = GroupRingElem.from_terms(
         2, [(parse_word("x1", 2), 1), (parse_word("x2 x1 x2^-1", 2), 1)]
     )
@@ -319,21 +319,21 @@ def test_degenerate_families_goldens():
 
 
 def test_is_degenerate_power_sweep():
-    ctx = ctx_for(BraidWord.identity(2))
-    fams = degenerate_families(BraidWord.identity(2), 1)
+    ctx = ctx_for(BraidWord(2))
+    fams = degenerate_families(BraidWord(2), 1)
     d = is_degenerate(ctx, parse_word("x1 x1 x1", 2), fams)
     assert d.is_yes
     assert d.certificate == ("family", 1, 3)
     d2 = is_degenerate(ctx, parse_word("x2^-1", 2), fams)
     assert d2.is_yes
     assert d2.certificate == ("family", 2, -1)
-    assert is_degenerate(ctx, FreeWord.identity(2), fams).certificate == ("family", 1, 0)
+    assert is_degenerate(ctx, FreeWord(2), fams).certificate == ("family", 1, 0)
     assert is_degenerate(ctx, parse_word("x1 x2", 2), fams).is_no
 
 
 def test_is_degenerate_respects_k_max():
-    ctx = ctx_for(BraidWord.identity(2), k_max=2)
-    fams = degenerate_families(BraidWord.identity(2), 1)
+    ctx = ctx_for(BraidWord(2), k_max=2)
+    fams = degenerate_families(BraidWord(2), 1)
     d = is_degenerate(ctx, parse_word("x1 x1 x1", 2), fams)
     assert d.is_no  # k = 3 is outside the sweep; the certificate names the bound
     assert d.certificate == ("families", 2)
@@ -343,7 +343,7 @@ def test_is_degenerate_respects_k_max():
 def test_degenerate_family_rejects_a_strand_that_is_not_a_positive_int(strand):
     # strands 0 and -1 would index another strand's cycle top and could answer yes
     with pytest.raises(ValueError, match="strand must be a positive integer"):
-        DegenerateFamily(strand, FreeWord.identity(2))
+        DegenerateFamily(strand, FreeWord(2))
 
 
 @pytest.mark.parametrize("conj", ["e", (), None])
@@ -354,8 +354,8 @@ def test_degenerate_family_rejects_a_conj_that_is_not_a_free_word(conj):
 
 def test_is_degenerate_rejects_a_strand_above_the_rank():
     # a rank-2 theta has no cycle top for strand 3
-    ctx = ctx_for(BraidWord.identity(2))
-    e = FreeWord.identity(2)
+    ctx = ctx_for(BraidWord(2))
+    e = FreeWord(2)
     with pytest.raises(ValueError, match="out of range 1..2"):
         is_degenerate(ctx, e, (DegenerateFamily(3, e),))
     assert is_degenerate(ctx, e, (DegenerateFamily(2, e),)).certificate == ("family", 2, 0)
@@ -370,7 +370,7 @@ def test_is_degenerate_without_families():
     with pytest.raises(ValueError, match="rank mismatch"):
         is_degenerate(ctx, gen(3, 3), ())
     with pytest.raises(ValueError, match="rank mismatch"):
-        is_degenerate(ctx_for(BraidWord.identity(2)), gen(3, 3), degenerate_families(BraidWord.identity(2), 1))
+        is_degenerate(ctx_for(BraidWord(2)), gen(3, 3), degenerate_families(BraidWord(2), 1))
 
 
 def test_essential_nondegenerate_sigma1():
@@ -796,7 +796,7 @@ def _lattice_reduce(ctx: TwistContext, v: list[int]) -> tuple[int, ...]:
 @settings(max_examples=100, deadline=None)
 @given(small_twists(), st.data())
 def test_abelian_invariant_matches_lattice_reference(ctx, data):
-    for w in (FreeWord.identity(ctx.rank), data.draw(words(ctx.rank, 8))):
+    for w in (FreeWord(ctx.rank), data.draw(words(ctx.rank, 8))):
         assert abelian_invariant(ctx, w) == _lattice_reduce(ctx, list(abelianize(w)))
 
 
@@ -826,7 +826,7 @@ def test_family_exponents_leave_equality_and_hash_alone():
     before = [hash(fam) for fam in fams]
     ctx = TwistContext.create(endo_power(artin(parse_braid("s1 s2^-1", 3)), 3))
     # no family matches, so every family's invariant is read
-    assert is_degenerate(ctx, FreeWord.identity(3), fams).certificate == ("families", 6)
+    assert is_degenerate(ctx, FreeWord(3), fams).certificate == ("families", 6)
     assert [hash(fam) for fam in fams] == before
     assert fams == _perm_families(parse_braid("s1 s2^-1", 3), 3)
 

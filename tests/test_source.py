@@ -115,16 +115,42 @@ def test_bench_workloads_use_only_exported_names():
 
 
 
+# operators run through syntax (`a * b`, `-a`), which no static search ties to a class
+OPERATOR_DUNDERS = {"__add__", "__sub__", "__mul__", "__matmul__", "__truediv__", "__pow__", "__neg__", "__invert__"}
+
+
 def test_every_unexported_public_definition_has_a_caller():
-    # a public top-level def or class outside __all__ must be used by other
-    # package code, by the benchmark or by the README's examples; a use
+    # a public top-level def or class outside __all__, and a public method,
+    # property or classmethod of any package class, must be used by other
+    # package code, by the benchmark or by the README's examples: a def or
+    # class where its name is read, a method where `.name` is read (only
+    # `C.name` counts when the owner is spelled as a package class C). A use
     # inside a definition that fails this check does not count, so code that
-    # only such definitions call fails it too
-    defined = set()  # (module, name)
-    uses = []  # (user, used): the (module, top-level name) of each side; module-level code is name None
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = path.stem
-        tree = ast.parse(path.read_text(), filename=str(path))
+    # only such definitions call fails it too. An operator dunder has no
+    # call site to find, so each one the package defines fails
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+    methods = {  # "Class.method" -> (module, "Class.method"), for the public and operator methods
+        f"{node.name}.{item.name}": (module, f"{node.name}.{item.name}")
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and (not item.name.startswith("_") or item.name in OPERATOR_DUNDERS)
+    }
+
+    def read_methods(ref):
+        """The "Class.method" names an attribute read may call."""
+        if not isinstance(ref.ctx, ast.Load):
+            return set()
+        owner = getattr(ref.value, "id", None) or getattr(ref.value, "attr", None)
+        if owner in classes:
+            return {f"{owner}.{ref.attr}"} & methods.keys()
+        return {name for name in methods if name.split(".")[1] == ref.attr}
+
+    defined = set(methods.values())  # (module, name) of a def or class, (module, "Class.method") of a method
+    uses = []  # (users, used); users are the (module, top-level name) and (module, "Class.method") around the use
+    for module, tree in trees.items():
         imported = {
             alias.asname or alias.name: (node.module, alias.name)
             for node in ast.walk(tree)
@@ -135,29 +161,32 @@ def test_every_unexported_public_definition_has_a_caller():
             name = getattr(node, "name", None)  # set on def and class statements only
             if name and not name.startswith("_") and name not in braidforce.__all__:
                 defined.add((module, name))
-            uses += (
-                ((module, name), imported.get(ref.id, (module, ref.id)))
-                for ref in ast.walk(node)
-                if isinstance(ref, ast.Name)
-            )
+        for scope, ref in _scoped_nodes(tree):
+            parts = scope.split(".")
+            users = ((module, parts[0] or None), (module, ".".join(parts[:2])))  # module-level code is name None
+            if isinstance(ref, ast.Name):
+                uses.append((users, imported.get(ref.id, (module, ref.id))))
+            elif isinstance(ref, ast.Attribute):
+                uses += ((users, methods[name]) for name in read_methods(ref))
     sources = [(path.read_text(), path.name) for path in sorted((ROOT / "bench").glob("*.py"))]
     readme = (ROOT / "README.md").read_text()
     sources += [(ex.source, "README.md") for ex in doctest.DocTestParser().get_examples(readme)]
-    named_outside = set()
+    named_outside = set()  # names, and the "Class.method" names of attribute reads
     for text, filename in sources:
         for ref in ast.walk(ast.parse(text, filename=filename)):
             if isinstance(ref, ast.Name):
                 named_outside.add(ref.id)
             elif isinstance(ref, ast.Attribute):
-                named_outside.add(ref.attr)
+                named_outside |= {ref.attr} | read_methods(ref)
             elif isinstance(ref, ast.alias):
                 named_outside.add(ref.asname or ref.name)
+    operators = {key for name, key in methods.items() if name.split(".")[1] in OPERATOR_DUNDERS}
     dead = set()
     while True:
-        live = {used for user, used in uses if user != used and user not in dead}
-        found = {key for key in defined if key not in live and key[1] not in named_outside}
+        live = {used for users, used in uses if used not in users and not dead.intersection(users)}
+        found = operators | {key for key in defined if key not in live and key[1] not in named_outside}
         if found == dead:
             break
         dead = found
     unreferenced = sorted(f"{module}.{name}" for module, name in dead)
-    assert not unreferenced, "no caller outside the tests: " + ", ".join(unreferenced)
+    assert not unreferenced, "no caller outside the tests (an operator never has one): " + ", ".join(unreferenced)

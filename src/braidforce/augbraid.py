@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .braid import DEFAULT_MAX_LETTERS, BraidWord, _braid, _fold, _pure_letters, artin, format_braid, parse_braid
+from .braid import DEFAULT_MAX_LETTERS, BraidWord, _braid, _fold, _pure_letters, braid_eq, format_braid, parse_braid
 from .freegroup import FreeWord, _conjugator_of, _word, format_word, parse_word, reduce
 
 
@@ -90,10 +90,10 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
     deleting every x_{n+1} letter from its conjugating word (the action
     threads the base point loop through it) leaves exactly the tail.
 
-    The result is verified before it is returned.  When to_word(result)
-    spells w letter for letter, w = section(base) * phi(tail) holds as
-    words.  Otherwise both words are folded in full and their Artin actions
-    must agree, which by faithfulness proves the same equality in the group.
+    The result is verified by braid_eq before it is returned.  When
+    to_word(result) spells w letter for letter, w = section(base) * phi(tail)
+    holds as words.  Otherwise both words are folded in full and their Artin
+    actions must agree, which by faithfulness proves it in the group.
     """
     if w.strands < 2:
         raise ValueError("need at least 2 strands to split off the last one")
@@ -108,7 +108,7 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
     tail = reduce(n, (k for k in conj.letters if abs(k) != n + 1))
     result = AugBraid(base, tail)
     back = to_word(result)
-    if back.letters != w.letters and artin(w, max_letters) != artin(back, max_letters):
+    if not braid_eq(w, back, max_letters):
         raise AssertionError("decomposition failed verification")
     return result
 

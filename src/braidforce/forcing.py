@@ -78,7 +78,7 @@ def forced_set(
     forced: list[AugBraid] = []
     exact = not trace.unresolved
     for s in trace.summands:
-        deg = is_degenerate(ctx, s.representative, ctx._families)
+        deg = is_degenerate(ctx, s.representative)
         bd = twisted_conj(ctx, identity, s.representative) if boundary_fixed else None
         classes.append(
             ClassReport(s.coefficient, s.representative, deg, abelian_invariant(ctx, s.representative), bd)
@@ -127,7 +127,7 @@ def is_forced(
             continue
         if any(member in fuzzy for member in s.members):
             return Decision("unknown", None, ("unresolved_class", s.representative))
-        deg = is_degenerate(ctx, s.representative, ctx._families)
+        deg = is_degenerate(ctx, s.representative)
         if deg.is_yes:
             return Decision("no", None, ("degenerate_class", s.representative))
         if deg.is_unknown:

@@ -310,8 +310,26 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     return Decision("unknown", None, ("radius", ctx.bounds.radius))
 
 
-@functools.lru_cache(maxsize=8192)
-def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
+def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
+    """Least word, by word_sort_key, in the bounded twisted-conjugacy orbit of w.
+
+    One streamed walk of the orbit (conjugators up to the search radius)
+    keeps the least word seen.  The walk is bounded by len(w): the key
+    orders by length first, so a longer word never beats w, and it is not
+    even built.  Orbit words keep the abelian invariant I, so none sorts
+    below the least word with I, its floor (|I_c| copies of the least
+    strand of each cycle c, signed as I_c, in ascending order; see
+    _floor).  So a w at its floor is returned without a walk, and a walk
+    stops once it reaches the floor, with the full walk's result.  This is
+    a display normal form, not a complete invariant: words of the same
+    class canonicalize consistently only when the search radius reaches
+    the connecting conjugator.
+
+    The context needs theta's strand permutation for the floor: for a theta
+    that has none, this raises ValueError, as twisted_conj and merge do.
+    """
+    if w.rank != ctx.rank:
+        raise ValueError("rank mismatch")
     floor = _floor(ctx, abelian_invariant(ctx, w))
     best = w.letters
     if best == floor:
@@ -335,31 +353,6 @@ def _canonical_cached(ctx: TwistContext, w: FreeWord) -> FreeWord:
         if best == floor:
             break
     return _word(ctx.rank, best)
-
-
-def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
-    """Least word, by word_sort_key, in the bounded twisted-conjugacy orbit of w.
-
-    One streamed walk of the orbit (conjugators up to the search radius)
-    keeps the least word seen.  The walk is bounded by len(w): the key
-    orders by length first, so a longer word never beats w, and it is not
-    even built.  Orbit words keep the abelian invariant I, so none sorts
-    below the least word with I, its floor (|I_c| copies of the least
-    strand of each cycle c, signed as I_c, in ascending order; see
-    _floor).  So a w at its floor is returned without a walk, and a walk
-    stops once it reaches the floor, with the full walk's result.  Results
-    sit in one process-wide lru_cache of 8192 entries keyed by (context,
-    word), so contexts that compare equal share them.  This is a display
-    normal form, not a complete invariant: words of the same class
-    canonicalize consistently only when the search radius reaches the
-    connecting conjugator.
-
-    The context needs theta's strand permutation for the floor: for a theta
-    that has none, this raises ValueError, as twisted_conj and merge do.
-    """
-    if w.rank != ctx.rank:
-        raise ValueError("rank mismatch")
-    return _canonical_cached(ctx, w)
 
 
 # ---------------------------------------------------------------------------
@@ -541,27 +534,25 @@ def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]
     return TwistContext.create(_iterate(beta, m))._families
 
 
-def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[DegenerateFamily, ...]) -> Decision:
-    """Is gamma twisted conjugate to conj_i * x_i^k for some family and |k| <= k_max?
+def is_degenerate(ctx: TwistContext, gamma: FreeWord) -> Decision:
+    """Is gamma twisted conjugate to conj_i * x_i^k for some family of theta and |k| <= k_max?
 
-    The conjugating word of a fixed strand is only determined up to powers
-    of that strand's generator.  The invariant of conj * x_i^k is that of
-    conj plus k at the largest strand t of i's cycle, so at most one k can
-    match gamma's: k = inv(gamma)[t] - inv(conj)[t], when every other
-    coordinate already agrees.  Any other probe would get a No from
-    twisted_conj, so only that one is built and searched, and only when
-    |k| <= k_max.
+    The families are theta's own, read off ctx._families.  The conjugating
+    word of a fixed strand is only determined up to powers of that strand's
+    generator.  The invariant of conj * x_i^k is that of conj plus k at the
+    largest strand t of i's cycle, so at most one k can match gamma's:
+    k = inv(gamma)[t] - inv(conj)[t], when every other coordinate already
+    agrees.  Any other probe would get a No from twisted_conj, so only that
+    one is built and searched, and only when |k| <= k_max.
     """
-    if any(w.rank != ctx.rank for w in (gamma, *(fam.conj for fam in families))):
+    if gamma.rank != ctx.rank:
         raise ValueError("rank mismatch")
-    if any(fam.strand > ctx.rank for fam in families):
-        raise ValueError(f"family strand out of range 1..{ctx.rank}")
     k_max = ctx.bounds.k_max
-    if not families:  # reads no invariant, which a theta without a strand permutation lacks
+    if not ctx._families:  # no family to match, so gamma's invariant is not read
         return Decision("no", None, ("families", k_max))
     target = abelian_invariant(ctx, gamma)
     saw_unknown = False
-    for fam in families:
+    for fam in ctx._families:
         top = ctx._cycle_top[fam.strand - 1]
         gap = [t - c for t, c in zip(target, abelian_invariant(ctx, fam.conj))]
         k = gap[top]
@@ -582,12 +573,18 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord, families: tuple[Degenerate
 # merge by twisted conjugacy
 
 
+@functools.lru_cache(maxsize=128)
 def _analyse(theta: FreeEndo, bounds: SearchBounds) -> tuple[TwistContext, MergedTrace]:
     """The forcing pipeline after the Artin action: the context of theta and its merged trace.
 
     theta is the iterate _iterate(beta, m), which its caller has already
-    folded: is_forced also compares it with the candidate's base.  Callers
-    that judge degeneracy take theta's families from ctx._families.
+    folded: is_forced also compares it with the candidate's base.
+
+    The pair is cached per equal (theta, bounds), for the 128 most recently
+    used, so a repeated query runs no Fox trace, merge or orbit walk.  Both
+    objects are immutable except the context's invariant memo, which also
+    keeps each distinct word later asked about in that context, such as an
+    is_forced tail.
     """
     ctx = TwistContext.create(theta, bounds)
     return ctx, merge(ctx, raw_trace(theta))

@@ -15,6 +15,7 @@ from braidforce import (
     braid_eq,
     degenerate_families,
     forced_set,
+    format_trace,
     format_word,
     from_word,
     is_forced,
@@ -140,7 +141,11 @@ def test_is_forced_base_mismatch():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of artin, braid_eq and merge through every braidforce namespace that binds them."""
+    """Count calls of artin, braid_eq and merge through every braidforce namespace that binds them.
+
+    The pipeline cache is cleared first, so the first query of each theta merges.
+    """
+    nielsen._analyse.cache_clear()
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name == "braidforce" or name.startswith("braidforce.")]
     for fn in (artin, braid_eq, merge):
@@ -159,16 +164,16 @@ def calls(monkeypatch):
 def test_from_word_folds_only_what_it_compares(calls):
     a = AugBraid(BETA5, parse_word("x1 x5^-1", 5))
     w = to_word(a)
-    # a round trip spells its input letter for letter, so it is verified
-    # by its letters; x6 is folded outside artin and braid_eq
+    # a round trip spells its input letter for letter, so braid_eq verifies
+    # it by its letters; x6 is folded outside artin and braid_eq
     assert from_word(w) == a
-    assert calls == {}
+    assert calls == {"braid_eq": 1}
     # the same braid times the relator s5 s4 s5 (s4 s5 s4)^-1, which moves
     # the last strand, comes back spelled otherwise: the input and the check
     # are folded once each
     rewritten = BraidWord(6, w.letters + (5, 4, 5, -4, -5, -4))
     back = from_word(rewritten)
-    assert calls == {"artin": 2}
+    assert calls == {"braid_eq": 2, "artin": 2}
     assert back.tail == a.tail
     assert braid_eq(back.base, BETA5)
 
@@ -178,14 +183,46 @@ def test_is_forced_folds_only_a_base_other_than_the_word_beta_m(calls):
     assert is_forced(AugBraid(BETA5, parse_word("x1", 5)), BETA5, 1).is_yes
     assert calls == {"artin": 1, "merge": 1}
     calls.clear()
-    # an equal base spelled differently is folded and compared with theta
+    # an equal base spelled differently is folded and compared with theta;
+    # the pipeline of that theta and bounds is cached, so nothing merges
     rewritten = BraidWord(5, (-2, 1, 2, 1) + BETA5.letters[2:])
     assert is_forced(AugBraid(rewritten, parse_word("x1", 5)), BETA5, 1).is_yes
-    assert calls == {"artin": 2, "merge": 1}
+    assert calls == {"artin": 2}
     calls.clear()
     # a base that does not match is refused before the trace is merged
     assert is_forced(AugBraid(braid_mul(BETA5, BETA5), parse_word("x1", 5)), BETA5, 1).is_no
     assert calls == {"artin": 2}
+
+
+_CACHE_ANCHORS = [
+    (BETA5, 1, SearchBounds(radius=3)),
+    (parse_braid("s1 s2^-1", 3), 3, SearchBounds(radius=3)),
+    (parse_braid("s1 s2^-1 s3", 4), 2, SearchBounds(radius=2)),
+    (parse_braid("s1", 3), 1, SearchBounds()),
+]
+
+
+@pytest.mark.parametrize("boundary_fixed", [False, True])
+def test_cached_and_fresh_pipelines_give_equal_reports(boundary_fixed):
+    for beta, m, bounds in _CACHE_ANCHORS:
+        forced_set(beta, m, bounds, boundary_fixed)
+        hits = nielsen._analyse.cache_info().hits
+        warm = report_json(forced_set(beta, m, bounds, boundary_fixed))
+        assert nielsen._analyse.cache_info().hits == hits + 1
+        nielsen._analyse.cache_clear()
+        assert report_json(forced_set(beta, m, bounds, boundary_fixed)) == warm
+
+
+def test_pipelines_that_differ_only_in_bounds_are_cached_apart():
+    beta = parse_braid("s1 s2^-1", 3)
+    wide = reidemeister_trace(beta, 3, SearchBounds(radius=3))
+    narrow = reidemeister_trace(beta, 3, SearchBounds(radius=0))
+    # both radii leave the same six raw pairs unresolved, but radius 0
+    # walks no orbit, so every class keeps its least raw member as name
+    assert narrow.unresolved == wide.unresolved
+    assert format_trace(narrow) != format_trace(wide)
+    assert reidemeister_trace(beta, 3, SearchBounds(radius=3)) is wide
+    assert reidemeister_trace(beta, 3, SearchBounds(radius=0)) is narrow
 
 
 def test_is_forced_inessential():

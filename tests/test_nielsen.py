@@ -41,7 +41,7 @@ from braidforce.freegroup import (
 from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
-from braidforce.nielsen import _canonical_cached, _floor, _format_pairs, _joined_len, _orbit
+from braidforce.nielsen import _floor, _format_pairs, _joined_len, _orbit
 from oracles import augmentation, conjugator, endo_matrix, gen
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
@@ -320,21 +320,19 @@ def test_degenerate_families_goldens():
 
 def test_is_degenerate_power_sweep():
     ctx = ctx_for(BraidWord(2))
-    fams = degenerate_families(BraidWord(2), 1)
-    d = is_degenerate(ctx, parse_word("x1 x1 x1", 2), fams)
+    d = is_degenerate(ctx, parse_word("x1 x1 x1", 2))
     assert d.is_yes
     assert d.certificate == ("family", 1, 3)
-    d2 = is_degenerate(ctx, parse_word("x2^-1", 2), fams)
+    d2 = is_degenerate(ctx, parse_word("x2^-1", 2))
     assert d2.is_yes
     assert d2.certificate == ("family", 2, -1)
-    assert is_degenerate(ctx, FreeWord(2), fams).certificate == ("family", 1, 0)
-    assert is_degenerate(ctx, parse_word("x1 x2", 2), fams).is_no
+    assert is_degenerate(ctx, FreeWord(2)).certificate == ("family", 1, 0)
+    assert is_degenerate(ctx, parse_word("x1 x2", 2)).is_no
 
 
 def test_is_degenerate_respects_k_max():
     ctx = ctx_for(BraidWord(2), k_max=2)
-    fams = degenerate_families(BraidWord(2), 1)
-    d = is_degenerate(ctx, parse_word("x1 x1 x1", 2), fams)
+    d = is_degenerate(ctx, parse_word("x1 x1 x1", 2))
     assert d.is_no  # k = 3 is outside the sweep; the certificate names the bound
     assert d.certificate == ("families", 2)
 
@@ -352,25 +350,16 @@ def test_degenerate_family_rejects_a_conj_that_is_not_a_free_word(conj):
         DegenerateFamily(1, conj)
 
 
-def test_is_degenerate_rejects_a_strand_above_the_rank():
-    # a rank-2 theta has no cycle top for strand 3
-    ctx = ctx_for(BraidWord(2))
-    e = FreeWord(2)
-    with pytest.raises(ValueError, match="out of range 1..2"):
-        is_degenerate(ctx, e, (DegenerateFamily(3, e),))
-    assert is_degenerate(ctx, e, (DegenerateFamily(2, e),)).certificate == ("family", 2, 0)
-
-
 def test_is_degenerate_without_families():
     ctx = ctx_for(parse_braid("s1", 2))
-    d = is_degenerate(ctx, gen(2, 1), ())
+    d = is_degenerate(ctx, gen(2, 1))
     assert d.is_no
     assert d.certificate == ("families", 6)
     # no families skip no check: gamma of the wrong rank raises, as it does with families
     with pytest.raises(ValueError, match="rank mismatch"):
-        is_degenerate(ctx, gen(3, 3), ())
+        is_degenerate(ctx, gen(3, 3))
     with pytest.raises(ValueError, match="rank mismatch"):
-        is_degenerate(ctx_for(BraidWord(2)), gen(3, 3), degenerate_families(BraidWord(2), 1))
+        is_degenerate(ctx_for(BraidWord(2)), gen(3, 3))
 
 
 def test_essential_nondegenerate_sigma1():
@@ -586,7 +575,6 @@ def test_canonical_rep_fixed_cases_match_brute_force(braid, n, m, w):
 
 def test_floor_words_are_returned_without_a_walk(monkeypatch):
     ctx = ctx_for(BETA5)
-    _canonical_cached.cache_clear()
 
     def no_walk(*args):
         raise AssertionError("a floor word walked its orbit")
@@ -729,11 +717,7 @@ def test_is_degenerate_matches_sweep_reference(data):
     beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=4))))
     m = data.draw(st.integers(1, 2))
     ctx = ctx_for(beta, m=m, radius=data.draw(st.integers(0, 2)), k_max=data.draw(st.integers(0, 3)))
-    # the real families of theta, then families with arbitrary conjugating words
-    families = degenerate_families(beta, m) + tuple(
-        DegenerateFamily(data.draw(st.integers(1, n)), data.draw(words(n, 4)))
-        for _ in range(data.draw(st.integers(0, 2)))
-    )
+    families = ctx._families
     if families and data.draw(st.booleans()):
         fam = data.draw(st.sampled_from(families))
         k = data.draw(st.integers(-ctx.bounds.k_max - 1, ctx.bounds.k_max + 1))
@@ -742,7 +726,7 @@ def test_is_degenerate_matches_sweep_reference(data):
         gamma = concat(apply(ctx.theta, a), probe, invert(a))
     else:
         gamma = data.draw(words(n, 5))
-    assert is_degenerate(ctx, gamma, families) == _sweep_is_degenerate(ctx, gamma, families)
+    assert is_degenerate(ctx, gamma) == _sweep_is_degenerate(ctx, gamma, families)
 
 
 # ---------------------------------------------------------------------------
@@ -821,12 +805,12 @@ def test_degenerate_families_match_braid_permutation_reference(data):
 
 
 def test_family_exponents_leave_equality_and_hash_alone():
-    fams = degenerate_families(parse_braid("s1 s2^-1", 3), 3)
+    ctx = TwistContext.create(endo_power(artin(parse_braid("s1 s2^-1", 3)), 3))
+    fams = ctx._families
     assert len(fams) == 3
     before = [hash(fam) for fam in fams]
-    ctx = TwistContext.create(endo_power(artin(parse_braid("s1 s2^-1", 3)), 3))
     # no family matches, so every family's invariant is read
-    assert is_degenerate(ctx, FreeWord(3), fams).certificate == ("families", 6)
+    assert is_degenerate(ctx, FreeWord(3)).certificate == ("families", 6)
     assert [hash(fam) for fam in fams] == before
     assert fams == _perm_families(parse_braid("s1 s2^-1", 3), 3)
 

@@ -97,6 +97,19 @@ def test_nielsen_abelianizes_in_abelian_invariant_and_the_strand_permutation_onl
     assert found == {"abelian_invariant", "TwistContext._strand_perm"}
 
 
+def test_analyse_is_the_one_cross_call_memo_in_nielsen():
+    # a repeated query reuses its whole pipeline, keyed by (theta, bounds),
+    # so no stage keeps a process-wide cache of its own; merge's local sort
+    # key memo and the context's cached properties die with their owners
+    path = PACKAGE / "nielsen.py"
+    found = set()
+    for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("lru_cache", "cache"):
+            found.add(scope)
+    assert found == {"_analyse", "merge"}
+
+
 def test_all_is_exactly_the_public_names_bound_in_the_package():
     # an import without an export, or an export without an import, fails
     bound = {

@@ -116,7 +116,6 @@ def is_forced(
     if candidate.base.letters != beta.letters * m and artin(candidate.base) != theta:
         return Decision("no", None, ("base_mismatch",))
     ctx, trace = _analyse(theta, bounds)
-    fuzzy = {w for pair in trace.unresolved for w in pair}
     saw_unknown = bool(trace.unresolved)
     for s in trace.summands:
         d = twisted_conj(ctx, s.representative, candidate.tail)
@@ -125,6 +124,9 @@ def is_forced(
             continue
         if d.is_no:
             continue
+        # the first yes ends the call, so the unresolved words are hashed
+        # at most once, and only on a yes
+        fuzzy = {w for pair in trace.unresolved for w in pair}
         if any(member in fuzzy for member in s.members):
             return Decision("unknown", None, ("unresolved_class", s.representative))
         deg = is_degenerate(ctx, s.representative)

@@ -202,13 +202,19 @@ def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:
 
 
 def endo_power(e: FreeEndo, m: int) -> FreeEndo:
-    """m-fold composite of e with itself; m = 0 gives the identity."""
+    """m-fold composite of e with itself; m = 0 gives the identity.
+
+    For m >= 1 the product starts from e itself, so it takes m - 1
+    compositions and no identity is built: endo_power(e, 1) is e.
+    """
     if not _is_int(m):
         raise ValueError(f"iteration count m must be an integer, got {m!r}")
     if m < 0:
         raise ValueError("endomorphisms are not invertible in general; m must be >= 0")
-    acc = FreeEndo.identity(e.rank)
-    for _ in range(m):
+    if not m:
+        return FreeEndo.identity(e.rank)
+    acc = e
+    for _ in range(m - 1):
         acc = compose(acc, e)
     return acc
 

@@ -33,7 +33,6 @@ from .freegroup import (
     _conjugator_of,
     _is_int,
     _letters_key,
-    _reduce_letters,
     _word,
     abelianize,
     apply,
@@ -200,13 +199,14 @@ def _floor(ctx: TwistContext, invariant: tuple[int, ...]) -> tuple[int, ...]:
 # bounded orbit search
 
 
-def _joined_len(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> int:
-    """Length of the free reduction of a * b * c, for reduced a, b, c.
+def _cancels(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> tuple[int, int, int]:
+    """The letter pairs (i, j, h) that cancel in the free reduction of a * b * c, for reduced a, b, c.
 
     The letters that cancel are counted at the joins; nothing is built.
     Where a meets b, i pairs cancel.  The tail of what is left of b then
     meets c, and j more pairs cancel.  If that uses up b, what is left of a
-    meets what is left of c, and h more pairs cancel.
+    meets what is left of c, and h more pairs cancel.  The reduced product
+    has len(a) + len(b) + len(c) - 2 * (i + j + h) letters; _splice builds it.
     """
     la, lb, lc = len(a), len(b), len(c)
     i = 0
@@ -219,33 +219,44 @@ def _joined_len(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...]) -> i
     if j == lb - i:
         while j + h < lc and i + h < la and a[la - 1 - i - h] == -c[j + h]:
             h += 1
-    return la + lb + lc - 2 * (i + j + h)
+    return i, j, h
 
 
-def _orbit(ctx: TwistContext, u: FreeWord, radius: int, max_len: int):
-    """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples, words of at most max_len letters.
+def _splice(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...], cancels: tuple[int, int, int]):
+    """The free reduction of a * b * c, sliced where the cancels (i, j, h) = _cancels(a, b, c) end."""
+    i, j, h = cancels
+    return a[: len(a) - i - h] + b[i : len(b) - j] + c[j + h :]
+
+
+def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: int):
+    """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples, words of min_len to max_len letters.
 
     Enumeration is deterministic: alpha by length first, then lexicographic
     with x_k before x_k^-1.  Iterative deepening keeps memory flat while
     preserving that order; theta images and inverses grow incrementally
     along the search path.  The pairs are exactly those of the unbounded
-    walk whose word has at most max_len letters, in the same order.
+    walk whose word has min_len to max_len letters, in the same order.
 
     The word of a leaf alpha * k is theta(alpha) * mid[k] * alpha^-1, where
-    mid[k] = theta(x_k) * u * x_k^-1 is reduced once, after the root word u
-    is yielded and only when radius >= 1.  The reduced length of a leaf
-    word is counted at its two joins (_joined_len) before anything is
-    built, so only a word that is yielded is reduced.
+    mid[k] = theta(x_k) * u * x_k^-1 is built once, after the root word u
+    is yielded and only when radius >= 1.  A leaf word's length is known
+    before it is built: the sum of its three parts when nothing cancels at
+    their joins, else that sum less the cancels counted there (_cancels).
+    Only a word inside the window is built, by slicing its parts where
+    they cancel (_splice); so are mid[k] and each child's theta(alpha * k).
     """
     n = ctx.rank
     letters = [k for i in range(1, n + 1) for k in (i, -i)]
     timg = ctx.theta._letter_images
     u_letters = u.letters
-    if len(u_letters) <= max_len:
+    if min_len <= len(u_letters) <= max_len:
         yield (), u_letters
     if not radius:
         return
-    mid = {k: _reduce_letters((timg[k], u_letters, (-k,))) for k in letters}
+    mid = {}
+    for k in letters:
+        parts = (timg[k], u_letters, (-k,))
+        mid[k] = _splice(*parts, _cancels(*parts))
     for depth in range(1, radius + 1):
         # stack entries: (alpha, theta(alpha), alpha^-1)
         stack = [((), (), ())]
@@ -255,7 +266,8 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, max_len: int):
             if len(alpha) + 1 == depth:
                 # unless mid[k] is empty or cancels against the last letter
                 # of th or the first of inv_a, nothing cancels: the length
-                # is the sum, and words over max_len are skipped uncounted
+                # is the sum.  Cancels only shorten a word, so one whose sum
+                # is under min_len is skipped uncounted
                 outer = len(th) + len(inv_a)
                 th_end = -th[-1] if th else 0
                 inv_head = -inv_a[0] if inv_a else 0
@@ -263,25 +275,41 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, max_len: int):
                     if k == back:
                         continue
                     m = mid[k]
-                    if outer + len(m) <= max_len or (
-                        (not m or m[0] == th_end or m[-1] == inv_head) and _joined_len(th, m, inv_a) <= max_len
-                    ):
-                        yield alpha + (k,), _reduce_letters((th, m, inv_a))
+                    size = outer + len(m)
+                    if size < min_len:
+                        continue
+                    if m and m[0] != th_end and m[-1] != inv_head:
+                        if size <= max_len:
+                            yield alpha + (k,), th + m + inv_a
+                        continue
+                    cancels = i, j, h = _cancels(th, m, inv_a)
+                    if min_len <= size - 2 * (i + j + h) <= max_len:
+                        yield alpha + (k,), _splice(th, m, inv_a, cancels)
             else:
-                children = [
-                    (alpha + (k,), _reduce_letters((th, timg[k])), (-k,) + inv_a) for k in letters if k != back
-                ]
+                # theta(alpha * k) = th * theta(x_k), counted only when the
+                # join's first letters cancel
+                children = []
+                for k in letters:
+                    if k != back:
+                        img = timg[k]
+                        if th and img and th[-1] == -img[0]:
+                            img = _splice(th, img, (), _cancels(th, img, ()))
+                        else:
+                            img = th + img
+                        children.append((alpha + (k,), img, (-k,) + inv_a))
                 stack.extend(reversed(children))
 
 
-def _matches(ctx: TwistContext, w: FreeWord, targets, max_len: int):
+def _matches(ctx: TwistContext, w: FreeWord, targets, min_len: int, max_len: int):
     """Yield (alpha, word) for each orbit word theta(alpha) * w * alpha^-1 in targets, in walk order.
 
-    The walk is _orbit's at the context's radius, bounded by max_len; each
-    hit is verified by substitution before it is yielded.  alpha is built
-    one letter at a time, never undoing the last one, so it is reduced.
+    The walk is _orbit's at the context's radius, in the length window
+    min_len to max_len, which must hold every target the orbit can reach;
+    each hit is verified by substitution before it is yielded.  alpha is
+    built one letter at a time, never undoing the last one, so it is
+    reduced.
     """
-    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, max_len):
+    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, min_len, max_len):
         if cand in targets:
             a = _word(ctx.rank, alpha)
             if concat(apply(ctx.theta, a), w, invert(a)).letters != cand:
@@ -296,8 +324,8 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     lexicographically first).  No is certified by differing abelianized
     invariants.  Unknown means the search radius was exhausted.
 
-    The walk only builds orbit words of at most len(v) letters: a longer
-    word cannot equal v, so the first match and its witness are unchanged.
+    The walk only builds orbit words of exactly len(v) letters: no other
+    word can equal v, so the first match and its witness are unchanged.
     """
     if u.rank != ctx.rank or v.rank != ctx.rank:
         raise ValueError("rank mismatch")
@@ -305,7 +333,7 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     iv = abelian_invariant(ctx, v)
     if iu != iv:
         return Decision("no", None, ("abelian", iu, iv))
-    for witness, _ in _matches(ctx, u, (v.letters,), len(v)):
+    for witness, _ in _matches(ctx, u, (v.letters,), len(v), len(v)):
         return Decision("yes", witness)
     return Decision("unknown", None, ("radius", ctx.bounds.radius))
 
@@ -338,7 +366,7 @@ def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
     # different words of the same length (whose keys differ), the best
     # word's key at most once
     best_key = None
-    for _, cand in _orbit(ctx, w, ctx.bounds.radius, len(w)):
+    for _, cand in _orbit(ctx, w, ctx.bounds.radius, 0, len(w)):
         if len(cand) == len(best) and cand != best:
             if best_key is None:
                 best_key = _letters_key(best)
@@ -394,13 +422,13 @@ def _classes_hit(ctx: TwistContext, w: FreeWord, bucket: list[_Class], owner: di
     the letters of every member so far to its class; orbit words keep the
     abelian invariant of w, so every class found is in the bucket.  One walk
     of the orbit serves the whole bucket, it stops once every class is hit,
-    and each hit is verified by substitution.  The walk is bounded by the
-    longest member of the bucket: owner holds no other word that this orbit
-    can reach, so a longer orbit word is never built.
+    and each hit is verified by substitution.  The walk only builds words
+    of the shortest to the longest member's length: owner holds no other
+    word that this orbit can reach, so no other orbit word is built.
     """
     hit: set[_Class] = set()
-    longest = max(len(m) for cl in bucket for _, m in cl.members)
-    for _, cand in _matches(ctx, w, owner, longest):
+    sizes = [len(m) for cl in bucket for _, m in cl.members]
+    for _, cand in _matches(ctx, w, owner, min(sizes), max(sizes)):
         hit.add(owner[cand])
         if len(hit) == len(bucket):
             break

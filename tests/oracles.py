@@ -4,7 +4,7 @@ Nothing in the package, the command line or the benchmark calls these
 helpers: each one exists to check another function against an independent
 spelling of the same thing (the braid product and inverse, pure braid
 generators, the conjugation action on tails, products in Z[F_n] and in
-semidirect coordinates, the abelianized matrix of an endomorphism, a
+semidirect coordinates, an endomorphism's powers and abelianized matrix, a
 general free-group conjugator, the section of a base braid).  They were
 written against the package's conventions and are kept here unchanged, so
 a change to the package that moves a convention fails the tests that
@@ -64,6 +64,14 @@ def artin_apply(b: BraidWord, w: FreeWord, max_letters: int = DEFAULT_MAX_LETTER
 def gen(rank: int, k: int) -> FreeWord:
     """The single-letter word x_k (or its inverse for negative k)."""
     return FreeWord(rank, (k,))
+
+
+def endo_power_from_identity(e: FreeEndo, m: int) -> FreeEndo:
+    """e^m as m compositions from the identity: each step applies e to every image so far."""
+    acc = FreeEndo.identity(e.rank)
+    for _ in range(m):
+        acc = FreeEndo(e.rank, tuple(apply(e, img) for img in acc.images))
+    return acc
 
 
 def endo_matrix(e: FreeEndo) -> tuple[tuple[int, ...], ...]:

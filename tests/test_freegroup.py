@@ -22,7 +22,7 @@ from braidforce.freegroup import (
 from braidforce.freegroup import _conjugator_of, _reduce_letters
 from braidforce.foxcalc import fox
 from braidforce.braid import BraidWord, artin
-from oracles import conjugator, cyclic_reduce, endo_matrix, gen
+from oracles import conjugator, cyclic_reduce, endo_matrix, endo_power_from_identity, gen
 
 RANK = 4
 
@@ -261,6 +261,21 @@ def test_endo_power():
     assert endo_power(e, 3) == compose(compose(e, e), e)
     with pytest.raises(ValueError):
         endo_power(e, -1)
+
+
+@st.composite
+def braid_automorphisms(draw):
+    """The Artin action of a random braid on 2 to 4 strands."""
+    n = draw(st.integers(2, 4))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    return artin(BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=5)))))
+
+
+@given(braid_automorphisms())
+def test_endo_power_is_the_composite_from_the_identity(e):
+    for m in range(5):
+        assert endo_power(e, m) == endo_power_from_identity(e, m)
+    assert endo_power(e, 1) == e
 
 
 @pytest.mark.parametrize("m", [True, False, 1.5, 2.0, "2", None])

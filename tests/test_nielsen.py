@@ -41,7 +41,7 @@ from braidforce.freegroup import (
 from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _reduce_letters
-from braidforce.nielsen import _floor, _format_pairs, _joined_len, _orbit
+from braidforce.nielsen import _cancels, _floor, _format_pairs, _orbit, _splice
 from oracles import augmentation, conjugator, endo_matrix, gen
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
@@ -593,7 +593,7 @@ def test_orbit_words_are_twisted_conjugates(ctx, data):
     n = 2 * ctx.rank
     count = 0
     longest_image = max(len(img) for img in ctx.theta.images)
-    for alpha, cand in _orbit(ctx, u, 2, 2 * longest_image + len(u) + 2):
+    for alpha, cand in _orbit(ctx, u, 2, 0, 2 * longest_image + len(u) + 2):
         a = FreeWord(ctx.rank, alpha)
         assert cand == concat(apply(ctx.theta, a), u, invert(a)).letters
         count += 1
@@ -634,12 +634,20 @@ def _unbounded_orbit(ctx: TwistContext, u: FreeWord, radius: int):
             stack.extend(reversed(children))
 
 
-def _assert_bounded_orbit_filters_reference(ctx, u, radius, max_lens=None):
+def _assert_bounded_orbit_filters_reference(ctx, u, radius, windows=None):
+    """_orbit in each length window (min_len, max_len) is the unbounded walk filtered to it, in order.
+
+    By default the windows are (0, L), (L, L) and (L, longest + 1) for every
+    L up to one past the longest orbit word, and one empty window, min > max.
+    """
     reference = list(_unbounded_orbit(ctx, u, radius))
     longest = max(len(cand) for _, cand in reference)
-    for max_len in range(longest + 2) if max_lens is None else max_lens:
-        expected = [p for p in reference if len(p[1]) <= max_len]
-        assert list(_orbit(ctx, u, radius, max_len)) == expected
+    if windows is None:
+        ends = range(longest + 2)
+        windows = [(0, n) for n in ends] + [(n, n) for n in ends] + [(n, longest + 1) for n in ends] + [(1, 0)]
+    for lo, hi in windows:
+        expected = [p for p in reference if lo <= len(p[1]) <= hi]
+        assert list(_orbit(ctx, u, radius, lo, hi)) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -648,8 +656,9 @@ def test_bounded_orbit_is_the_filtered_unbounded_orbit(ctx, data):
     u = data.draw(words(ctx.rank, 5))
     radius = data.draw(st.integers(0, 3))
     longest = max(len(cand) for _, cand in _unbounded_orbit(ctx, u, radius))
-    max_len = data.draw(st.integers(0, longest + 2))
-    _assert_bounded_orbit_filters_reference(ctx, u, radius, [max_len])
+    # min_len may equal max_len, exceed it, or exceed every orbit word
+    lo, hi = data.draw(st.integers(0, longest + 2)), data.draw(st.integers(0, longest + 2))
+    _assert_bounded_orbit_filters_reference(ctx, u, radius, [(lo, hi), (0, hi), (lo, lo)])
 
 
 def _endo(rank, *images):
@@ -680,11 +689,34 @@ def test_bounded_orbit_fixed_cases(theta, u):
     _assert_bounded_orbit_filters_reference(ctx, parse_word(u, theta.rank), 3)
 
 
+def _assert_cancels_slice_the_reduced_product(parts):
+    cancels = _cancels(*parts)
+    reduced = _reduce_letters(parts)
+    assert _splice(*parts, cancels) == reduced
+    assert sum(map(len, parts)) - 2 * sum(cancels) == len(reduced)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_joined_len_counts_the_reduced_product(data):
-    parts = [data.draw(words(2, 6)).letters for _ in range(3)]
-    assert _joined_len(*parts) == len(_reduce_letters(parts))
+def test_cancels_slice_the_reduced_product(data):
+    _assert_cancels_slice_the_reduced_product([data.draw(words(2, 6)).letters for _ in range(3)])
+
+
+@pytest.mark.parametrize(
+    "parts, cancels",
+    [
+        (((1, 2), (-2, 3), (1,)), (1, 0, 0)),
+        (((1, 2), (3, -1), (1, 2)), (0, 1, 0)),
+        # b is used up, then what is left of a meets what is left of c
+        (((1, 2), (-2,), (-1,)), (1, 0, 1)),
+        (((2, 1, 2), (-2, 1), (-1, -1, -2)), (1, 1, 2)),
+        (((1,), (), (-1, 2)), (0, 0, 1)),
+        (((1, 2), (-2, -1), ()), (2, 0, 0)),
+    ],
+)
+def test_cancels_fixed_cases(parts, cancels):
+    assert _cancels(*parts) == cancels
+    _assert_cancels_slice_the_reduced_product(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,26 @@ def test_analyse_is_the_one_cross_call_memo_in_nielsen():
     assert found == {"_analyse", "merge"}
 
 
+def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():
+    # the cancels where reduced words meet are counted by nielsen._cancels
+    # alone: a while loop comparing a letter with a negated letter, and the
+    # walk builds every word by slicing at those counts, not by reducing
+    path = PACKAGE / "nielsen.py"
+    counting, reducing = set(), set()
+    for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.While):
+            for cmp in ast.walk(node.test):
+                if isinstance(cmp, ast.Compare) and any(
+                    isinstance(c, ast.UnaryOp) and isinstance(c.op, ast.USub) and isinstance(c.operand, ast.Subscript)
+                    for c in cmp.comparators
+                ):
+                    counting.add(scope)
+        if isinstance(node, ast.Name) and node.id == "_reduce_letters":
+            reducing.add(scope)
+    assert counting == {"_cancels"}
+    assert "_orbit" not in reducing
+
+
 def test_all_is_exactly_the_public_names_bound_in_the_package():
     # an import without an export, or an export without an import, fails
     bound = {

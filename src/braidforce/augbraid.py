@@ -80,6 +80,26 @@ def to_word(a: AugBraid) -> BraidWord:
     return _braid(a.base.strands + 1, a.base.letters + _phi_letters(a.tail))
 
 
+@functools.cache
+def _phi_texts(n: int) -> tuple[str, ...]:
+    """format_braid of every spelling in `_phi_spellings(n)`, indexed alike; index 0 is never read."""
+    return tuple(format_braid(_braid(n + 1, letters)) for letters in _phi_spellings(n))
+
+
+def _to_word_text(a: AugBraid) -> str:
+    """format_braid(to_word(a)), without building the word.
+
+    to_word spells the base's letters, then one `_phi_spellings` block per
+    tail letter, unreduced, so its text is the base's text followed by the
+    kept text of each tail letter's block; `e` only when both are empty.
+    """
+    texts = _phi_texts(a.tail.rank)
+    parts = [texts[k] for k in a.tail.letters]
+    if a.base.letters:
+        parts.insert(0, format_braid(a.base))
+    return " ".join(parts) or "e"
+
+
 def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
     """Recover semidirect coordinates from a braid word fixing the last strand.
 

@@ -47,13 +47,15 @@ def _json_text(doc) -> str:
 
     The standard encoder runs in pure Python whenever ``indent`` is set.
     This writer appends chunks to one list and joins it once, writes
-    scalars inline, and escapes each distinct string object once through
-    the C ``encode_basestring_ascii``.  The escapes are memoised by
-    ``id``: the document holds every string alive, so no id is reused
-    while it is written, and a word that recurs across pairs or between a
-    class and a forced braid is escaped once.  Types are matched exactly:
-    a float, a subclass of those types or a key that is not a str raises
-    TypeError.
+    scalars and the str items of a list inline, and escapes each distinct
+    string object once through the C ``encode_basestring_ascii``.  The
+    escapes are memoised by ``id``: the document holds every string alive,
+    so no id is reused while it is written, and a word that recurs across
+    pairs or between a class and a forced braid is escaped once.  A list's
+    items are not joined into one string first: the pairs of a long trace
+    hold megabytes of text, which that would copy once more.  Types are
+    matched exactly: a float, a subclass of those types or a key that is
+    not a str raises TypeError.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -83,7 +85,14 @@ def _json_text(doc) -> str:
             sep = "[" + inner
             for x in o:
                 append(sep)
-                write(x, inner)
+                if type(x) is str:
+                    # most list items are words: escaped here, without a call to write
+                    e = escaped.get(id(x))
+                    if e is None:
+                        e = escaped[id(x)] = encode_basestring_ascii(x)
+                    append(e)
+                else:
+                    write(x, inner)
                 sep = "," + inner
             append(pad + "]")
         elif t is dict:

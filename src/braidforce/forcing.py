@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .augbraid import AugBraid, to_word
+from .augbraid import AugBraid, _to_word_text
 from .braid import BraidWord, artin, format_braid, power
 from .freegroup import FreeWord, format_word
 from .nielsen import (
@@ -174,7 +174,7 @@ def report_json(report: ForcingReport) -> dict:
             {
                 "base": base,
                 "tail": names.get(id(a.tail)) or format_word(a.tail),
-                "word": format_braid(to_word(a)),
+                "word": _to_word_text(a),
             }
             for a in report.forced
         ],

@@ -239,11 +239,24 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
 
     The word of a leaf alpha * k is theta(alpha) * mid[k] * alpha^-1, where
     mid[k] = theta(x_k) * u * x_k^-1 is built once, after the root word u
-    is yielded and only when radius >= 1.  A leaf word's length is known
-    before it is built: the sum of its three parts when nothing cancels at
-    their joins, else that sum less the cancels counted there (_cancels).
-    Only a word inside the window is built, by slicing its parts where
-    they cancel (_splice); so are mid[k] and each child's theta(alpha * k).
+    is yielded and only when radius >= 1, into a row (k, mid[k], its length,
+    first and last letter).  A leaf word's length is known before it is
+    built: the sum of its three parts when nothing cancels at their joins,
+    else that sum less the cancels counted there (_cancels).  Only a word
+    inside the window is built, by slicing its parts where they cancel
+    (_splice); so are mid[k] and each child's theta(alpha * k).
+
+    A leaf word has at most that sum of letters and, by the triangle
+    inequality of the word metric, at least len(theta(alpha)) - len(mid[k])
+    - len(alpha) and len(mid[k]) - len(theta(alpha)) - len(alpha).  So at
+    each leaf-parent these bounds fix a range of mid lengths that can land
+    in the window, and a leaf whose mid is outside it is skipped uncounted;
+    a leaf-parent whose longest sum is under min_len is skipped whole.
+    When even its shortest sum is over max_len, only a leaf that cancels at
+    a join can land in the window: one whose mid is empty, starts by
+    cancelling theta(alpha) or ends by cancelling alpha^-1.  Only those
+    rows are looped over, looked up by that pair of letters in lists built
+    once per walk.
     """
     n = ctx.rank
     letters = [k for i in range(1, n + 1) for k in (i, -i)]
@@ -253,10 +266,18 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
         yield (), u_letters
     if not radius:
         return
-    mid = {}
+    rows = []
+    shortest, longest = float("inf"), 0
     for k in letters:
         parts = (timg[k], u_letters, (-k,))
-        mid[k] = _splice(*parts, _cancels(*parts))
+        m = _splice(*parts, _cancels(*parts))
+        lm = len(m)
+        if lm < shortest:
+            shortest = lm
+        if lm > longest:
+            longest = lm
+        rows.append((k, m, lm, m[0] if m else 0, m[-1] if m else 0))
+    joining = {}  # (th_end, inv_head) -> the rows that can cancel at a join with them
     for depth in range(1, radius + 1):
         # stack entries: (alpha, theta(alpha), alpha^-1)
         stack = [((), (), ())]
@@ -266,19 +287,32 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
             if len(alpha) + 1 == depth:
                 # unless mid[k] is empty or cancels against the last letter
                 # of th or the first of inv_a, nothing cancels: the length
-                # is the sum.  Cancels only shorten a word, so one whose sum
-                # is under min_len is skipped uncounted
-                outer = len(th) + len(inv_a)
+                # is the sum
+                lth, la = len(th), len(inv_a)
+                outer = lth + la
+                if outer + longest < min_len:
+                    continue
                 th_end = -th[-1] if th else 0
                 inv_head = -inv_a[0] if inv_a else 0
-                for k in letters:
-                    if k == back:
+                # the mid lengths lo..hi: the sum reaches min_len and the
+                # triangle bounds stay within max_len
+                lo = lth - la - max_len
+                if lo < min_len - outer:
+                    lo = min_len - outer
+                hi = max_len + outer
+                if outer + shortest > max_len:
+                    cands = joining.get((th_end, inv_head))
+                    if cands is None:
+                        cands = joining[th_end, inv_head] = [
+                            row for row in rows if not row[2] or row[3] == th_end or row[4] == inv_head
+                        ]
+                else:
+                    cands = rows
+                for k, m, lm, first, last in cands:
+                    if k == back or lm < lo or lm > hi:
                         continue
-                    m = mid[k]
-                    size = outer + len(m)
-                    if size < min_len:
-                        continue
-                    if m and m[0] != th_end and m[-1] != inv_head:
+                    size = outer + lm
+                    if lm and first != th_end and last != inv_head:
                         if size <= max_len:
                             yield alpha + (k,), th + m + inv_a
                         continue

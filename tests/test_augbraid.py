@@ -22,7 +22,7 @@ from braidforce import (
 from braidforce.freegroup import _conjugator_of, apply, reduce
 from braidforce.braid import _pure_letters
 from braidforce import augbraid
-from braidforce.augbraid import _delete_last_strand, _phi_letters, parse_aug
+from braidforce.augbraid import _delete_last_strand, _phi_letters, _to_word_text, parse_aug
 from oracles import (
     act,
     aug_eq,
@@ -233,6 +233,16 @@ def aug_braids(draw):
     base = draw(st.lists(st.sampled_from(pool), max_size=10)) if pool else []
     tail = draw(st.lists(st.sampled_from([k for i in range(1, n + 1) for k in (i, -i)]), max_size=12))
     return AugBraid(BraidWord(n, tuple(base)), reduce(n, tail))
+
+
+@settings(deadline=None)
+@given(aug_braids())
+@example(AugBraid(BraidWord(1), FreeWord(1)))
+@example(AugBraid(parse_braid("s1 s2^-1", 3), FreeWord(3)))
+@example(AugBraid(BraidWord(3), parse_word("x3^-1 x1", 3)))
+def test_to_word_text_is_the_text_of_to_word(a):
+    # an empty base, an empty tail, or both: `e` only when the word is empty
+    assert _to_word_text(a) == format_braid(to_word(a))
 
 
 @settings(deadline=None)

@@ -689,6 +689,29 @@ def test_bounded_orbit_fixed_cases(theta, u):
     _assert_bounded_orbit_filters_reference(ctx, parse_word(u, theta.rank), 3)
 
 
+@pytest.mark.parametrize("radius", [4, 5])
+@pytest.mark.parametrize("u", ["x5^-1", "x1 x2 x5 x2^-1 x1^-1"])
+def test_bounded_orbit_of_the_worked_example_in_short_windows(u, radius):
+    # canonical_rep's walks of the worked example: at radius 4 and 5 fewer
+    # than a dozen orbit words have 3 letters or fewer, so in these windows
+    # the walk skips most leaves by their length bounds and loops only over
+    # the rows that cancel at a join
+    ends = range(4)
+    _assert_bounded_orbit_filters_reference(
+        ctx_for(BETA5, radius=radius), parse_word(u, 5), radius, [(0, n) for n in ends] + [(n, n) for n in ends]
+    )
+
+
+def test_bounded_orbit_with_empty_mids():
+    # theta = identity and u = e: every mid theta(x_k) * u * x_k^-1 is empty,
+    # so theta(alpha) meets alpha^-1 directly and cancels there; an empty mid
+    # has no first or last letter to test, and must be counted
+    ctx = TwistContext.create(FreeEndo.identity(3), SearchBounds(3, 6))
+    e = parse_word("e", 3)
+    assert all(not cand for alpha, cand in _orbit(ctx, e, 1, 0, 9) if alpha)
+    _assert_bounded_orbit_filters_reference(ctx, e, 3, [(0, 0), (0, 1), (0, 2)])
+
+
 def _assert_cancels_slice_the_reduced_product(parts):
     cancels = _cancels(*parts)
     reduced = _reduce_letters(parts)
@@ -700,6 +723,17 @@ def _assert_cancels_slice_the_reduced_product(parts):
 @given(st.data())
 def test_cancels_slice_the_reduced_product(data):
     _assert_cancels_slice_the_reduced_product([data.draw(words(2, 6)).letters for _ in range(3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cancelled_length_keeps_the_triangle_bound(data):
+    # the bound _orbit skips leaves by: |a * b * c| >= |a| - |b| - |c| and
+    # >= |b| - |a| - |c|, read off the cancels without building the product
+    a, b, c = (data.draw(words(2, size)).letters for size in (8, 8, 4))
+    length = len(a) + len(b) + len(c) - 2 * sum(_cancels(a, b, c))
+    assert length >= len(a) - len(b) - len(c)
+    assert length >= len(b) - len(a) - len(c)
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,27 @@ The Artin action of a single positive crossing is
 
 with all other generators fixed, and braid words act diagrammatically
 (first letter acts first).
+
+Folding a word through that action is string work (see ``_fold``).  Each
+letter of F_n is coded as one character: x_k as chr(2k + 1) and x_k^-1 as
+chr(2k + 2), above three reserved characters, a separator between images
+and two placeholders.  So the coding reaches at most ``_MAX_STRANDS``
+strands, the last count whose codes stay at or below ``sys.maxunicode``;
+a fold on more strands is refused with a ``ValueError``.  A crossing is
+one fixed chain of ``str.replace`` calls over every image at once: the
+simultaneous substitution through the placeholders, then the removal of
+the one letter pair that can cancel, x_i^-1 x_i for s_i and
+x_{i+1} x_{i+1}^-1 for s_i^-1; no other pair cancels and no cancel
+cascades.  Folds stay capped as before: after each crossing, a fold whose
+longest image passes ``max_letters`` raises ``WordTooLongError``.
 """
 
 from __future__ import annotations
 
-import functools
+import sys
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, _format_letters, _is_int, _parse_letters, _reduce_letters, _word
+from .freegroup import FreeEndo, _format_letters, _is_int, _parse_letters, _word
 
 DEFAULT_MAX_LETTERS = 128
 
@@ -105,38 +118,117 @@ def _pure_letters(i: int, j: int, sign: int = 1) -> tuple[int, ...]:
     return (*range(j - 1, i, -1), sign * i, sign * i, *range(-i - 1, -j, -1))
 
 
-@functools.lru_cache(maxsize=None)
-def _letter_endo(strands: int, letter: int) -> FreeEndo:
-    images = [FreeWord(strands, (k,)) for k in range(1, strands + 1)]
+def _check_cap(max_letters) -> None:
+    """Reject a max_letters that is not a positive integer; every capped entry point calls this."""
+    if not _is_int(max_letters) or max_letters < 1:
+        raise ValueError(f"max_letters must be a positive integer, got {max_letters!r}")
+
+
+class _Memo(dict):
+    """A table whose value for a key is built by one function on the key's first lookup and kept.
+
+    The fold reads its tables once per letter; a dict subscript there costs
+    about half a functools.cache call.
+    """
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+# the fold's one-character letter codes; see the module docstring
+_SEP, _P, _Q = "\x00", "\x01", "\x02"
+_MAX_STRANDS = (sys.maxunicode - 2) // 2
+_CODE = _Memo(lambda k: chr(2 * k + 1 if k > 0 else 2 - 2 * k))
+_LETTER = _Memo(lambda ch: (ord(ch) - 1) // 2 if ord(ch) % 2 else 1 - ord(ch) // 2)
+
+
+def _spell(letters) -> str:
+    return "".join(map(_CODE.__getitem__, letters))
+
+
+def _crossing(letter: int) -> tuple[str, ...]:
+    """The str.replace arguments of one crossing: (c, C, d, D, image of c, image of C, pair).
+
+    A crossing moves the generator d onto c and sends c to a conjugate of
+    d by t: for s_i, c = x_i, d = x_{i+1}, t = x_i; for s_i^-1, c = x_{i+1},
+    d = x_i, t = x_{i+1}^-1.  Capitals are inverses; pair is t^-1 t, the
+    one pair that can cancel (see _fold).
+    """
     i = abs(letter)
-    if letter > 0:
-        images[i - 1] = FreeWord(strands, (i, i + 1, -i))
-        images[i] = FreeWord(strands, (i,))
-    else:
-        images[i - 1] = FreeWord(strands, (i + 1,))
-        images[i] = FreeWord(strands, (-(i + 1), i, i + 1))
-    return FreeEndo(strands, tuple(images))
+    c, d, t = (i, i + 1, i) if letter > 0 else (i + 1, i, -i - 1)
+    return (_CODE[c], _CODE[-c], _CODE[d], _CODE[-d], _spell((t, d, -t)), _spell((t, -d, -t)), _spell((-t, t)))
+
+
+_CROSSINGS = _Memo(_crossing)
 
 
 def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> list[tuple[int, ...]]:
     """Fold reduced letter tuples of F_strands through b's crossings, first letter first.
 
-    Each crossing substitutes its per-letter table into every image.  Image
-    lengths can grow exponentially in the word length, so the fold aborts
-    once any image exceeds max_letters.  This is the package's one capped
-    fold: callers pass only the images they read.
+    The images are coded one character per letter (see the module
+    docstring) and joined into one string, separated by _SEP.  A crossing
+    with table (c, C, d, D, tdT, tDT, Tt) from _crossing is the chain
+
+        c -> P, C -> Q, d -> c, D -> C, P -> tdT, Q -> tDT, Tt -> ''
+
+    which is the simultaneous substitution c -> tdT, C -> tDT, d -> c,
+    D -> C (the placeholders keep the letters it writes from being
+    substituted again), then free reduction in one removal.
+
+    That removal is exact.  Take s_i, with a = x_i, b = x_{i+1} and
+    capitals for inverses, on a reduced word: a -> abA, A -> aBA, b -> a,
+    B -> A, every other letter fixed.  No image of one letter holds an
+    inverse pair, so a cancel can only sit where two images join.  An image
+    ends in A (of a, A, B) or a (of b) and begins with a (of a, A, b) or A
+    (of B); a fixed letter ends and begins with itself.  A join a|A needs
+    bB in the word and a join of fixed letters yy^-1, and a reduced word
+    holds neither.  So every cancelling pair is an A|a, the image of x in
+    {a, A, B} meeting that of y in {a, A, b}.  Removing it brings together
+    the letter before that A, which is b (x = a), B (x = A) or the last
+    letter of the image before B's (A, a or fixed), and the letter after
+    that a, which is b (y = a), B (y = A) or the first letter of the image
+    after b's (a, A or fixed).  Of those, b|B needs aA and B|b needs Aa in
+    the word, and an inverse pair among the rest needs x = B and y = b, so
+    Bb: none cascades, and removing every A|a leaves the reduced image.
+    Two A|a never overlap, so one str.replace finds them all.  s_i^-1 is
+    the same substitution after renaming x_i -> x_{i+1}^-1 and x_{i+1} ->
+    x_i^-1, which keeps words reduced; its pair is x_{i+1} x_{i+1}^-1.  The
+    separator never cancels.
+
+    Image lengths can grow exponentially in the word length, so the fold
+    aborts once any image exceeds max_letters, after the crossing that
+    made it so, as the per-letter fold did.  The total letter count is
+    read first; the longest image is split out only when the total passes
+    the cap.  This is the package's one capped fold: callers pass only
+    the images they read.
     """
-    n = b.strands
+    _check_cap(max_letters)
+    if b.strands > _MAX_STRANDS:
+        raise ValueError(
+            f"the fold codes each letter as one character, so it takes at most {_MAX_STRANDS} strands, "
+            f"got {b.strands}"
+        )
+    text = _SEP.join(map(_spell, images))
+    total_cap = max_letters + len(images) - 1  # the separators are not letters
     for letter in b.letters:
-        table = _letter_endo(n, letter)._letter_images
-        images = [_reduce_letters(map(table.__getitem__, img)) for img in images]
-        longest = max(map(len, images))
-        if longest > max_letters:
-            raise WordTooLongError(
-                f"generator image grew to {longest} letters (cap {max_letters}); "
-                "pass a larger max_letters if this is intentional"
-            )
-    return images
+        c, C, d, D, image, image_inv, pair = _CROSSINGS[letter]
+        text = (
+            text.replace(c, _P).replace(C, _Q).replace(d, c).replace(D, C)
+            .replace(_P, image).replace(_Q, image_inv).replace(pair, "")
+        )
+        if len(text) > total_cap:
+            longest = max(map(len, text.split(_SEP)))
+            if longest > max_letters:
+                raise WordTooLongError(
+                    f"generator image grew to {longest} letters (cap {max_letters}); "
+                    "pass a larger max_letters if this is intentional"
+                )
+    return [tuple(map(_LETTER.__getitem__, part)) for part in text.split(_SEP)]
 
 
 def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
@@ -158,6 +250,7 @@ def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTER
     """
     if b1.strands != b2.strands:
         raise ValueError("strand count mismatch")
+    _check_cap(max_letters)
     if b1.letters == b2.letters:
         return True
     return artin(b1, max_letters) == artin(b2, max_letters)

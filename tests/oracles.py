@@ -3,7 +3,7 @@
 Nothing in the package, the command line or the benchmark calls these
 helpers: each one exists to check another function against an independent
 spelling of the same thing (the braid product and inverse, pure braid
-generators, the conjugation action on tails, products in Z[F_n] and in
+generators, the per-letter tuple fold, the conjugation action on tails, products in Z[F_n] and in
 semidirect coordinates, an endomorphism's powers and abelianized matrix, a
 general free-group conjugator, the section of a base braid).  They were
 written against the package's conventions and are kept here unchanged, so
@@ -13,13 +13,24 @@ compare against them.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from braidforce.augbraid import AugBraid, _phi_letters
-from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, _pure_letters, artin, braid_eq, perm
+from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, WordTooLongError, _pure_letters, artin, braid_eq, perm
 from braidforce.forcing import ForcingReport, report_json
 from braidforce.foxcalc import GroupRingElem
-from braidforce.freegroup import FreeEndo, FreeWord, _word, abelianize, apply, concat, format_word, invert
+from braidforce.freegroup import (
+    FreeEndo,
+    FreeWord,
+    _reduce_letters,
+    _word,
+    abelianize,
+    apply,
+    concat,
+    format_word,
+    invert,
+)
 
 # ---------------------------------------------------------------------------
 # braid
@@ -50,6 +61,36 @@ def pure_gen(i: int, j: int, strands: int) -> BraidWord:
     if not (1 <= i < j <= strands):
         raise ValueError(f"need 1 <= i < j <= strands, got ({i}, {j}, {strands})")
     return BraidWord(strands, _pure_letters(i, j))
+
+
+@functools.lru_cache(maxsize=None)
+def letter_endo(strands: int, letter: int) -> FreeEndo:
+    """The Artin automorphism of one crossing, as generator images."""
+    images = [FreeWord(strands, (k,)) for k in range(1, strands + 1)]
+    i = abs(letter)
+    if letter > 0:
+        images[i - 1] = FreeWord(strands, (i, i + 1, -i))
+        images[i] = FreeWord(strands, (i,))
+    else:
+        images[i - 1] = FreeWord(strands, (i + 1,))
+        images[i] = FreeWord(strands, (-(i + 1), i, i + 1))
+    return FreeEndo(strands, tuple(images))
+
+
+def tuple_fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> list[tuple[int, ...]]:
+    """braid._fold as a per-letter tuple fold: each crossing substitutes its
+    letter_endo table into every image and reduces, then the cap is checked."""
+    n = b.strands
+    for letter in b.letters:
+        table = letter_endo(n, letter)._letter_images
+        images = [_reduce_letters(map(table.__getitem__, img)) for img in images]
+        longest = max(map(len, images))
+        if longest > max_letters:
+            raise WordTooLongError(
+                f"generator image grew to {longest} letters (cap {max_letters}); "
+                "pass a larger max_letters if this is intentional"
+            )
+    return images
 
 
 def artin_apply(b: BraidWord, w: FreeWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeWord:

@@ -11,14 +11,15 @@ from braidforce import (
     braid_eq,
     format_braid,
     format_word,
+    from_word,
     parse_braid,
     parse_word,
     perm,
     power,
 )
 from braidforce.freegroup import FreeEndo, compose
-from braidforce.braid import DEFAULT_MAX_LETTERS, _letter_endo
-from oracles import artin_apply, braid_invert, braid_mul, fixes_last_strand, gen, pure_gen
+from braidforce.braid import DEFAULT_MAX_LETTERS, _MAX_STRANDS, _fold
+from oracles import artin_apply, braid_invert, braid_mul, fixes_last_strand, gen, letter_endo, pure_gen, tuple_fold
 
 
 def rand_braid(rng, strands, max_len=6):
@@ -239,7 +240,7 @@ def _artin_compose_fold(b, max_letters=DEFAULT_MAX_LETTERS):
     """artin as one compose per letter, rebuilding every image: the reference."""
     e = FreeEndo.identity(b.strands)
     for letter in b.letters:
-        e = compose(e, _letter_endo(b.strands, letter))
+        e = compose(e, letter_endo(b.strands, letter))
         longest = max(len(w) for w in e.images)
         if longest > max_letters:
             raise WordTooLongError(
@@ -256,9 +257,9 @@ def braid_words(draw):
     return BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=14))))
 
 
-def _artin_outcome(fold, b, cap):
+def _outcome(fold, *args):
     try:
-        return fold(b, cap)
+        return fold(*args)
     except WordTooLongError as exc:
         return ("refused", str(exc))
 
@@ -266,4 +267,93 @@ def _artin_outcome(fold, b, cap):
 @given(braid_words(), st.one_of(st.integers(1, 40), st.just(DEFAULT_MAX_LETTERS)))
 def test_artin_matches_compose_fold_reference(b, cap):
     # small caps are hit often: the refusal, its letter and its message must agree
-    assert _artin_outcome(artin, b, cap) == _artin_outcome(_artin_compose_fold, b, cap)
+    assert _outcome(artin, b, cap) == _outcome(_artin_compose_fold, b, cap)
+
+
+@st.composite
+def folds(draw):
+    """A braid word on 2-9 strands with up to 40 letters, and the images artin or from_word folds."""
+    n = draw(st.integers(2, 9))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    b = BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=40))))
+    images = draw(st.sampled_from([[(k,) for k in range(1, n + 1)], [(n,)]]))
+    return b, images
+
+
+@given(folds(), st.one_of(st.integers(1, 40), st.just(DEFAULT_MAX_LETTERS)))
+def test_string_fold_matches_the_tuple_fold(fold, cap):
+    # every image equal, or the same refusal at the same letter with the same message
+    b, images = fold
+    assert _outcome(_fold, b, images, cap) == _outcome(tuple_fold, b, images, cap)
+
+
+def _band_braid(rng, strands, lo, hi, length):
+    """A random word of the given length in the crossings s_lo .. s_hi and their inverses."""
+    pool = [k for i in range(lo, hi + 1) for k in (i, -i)]
+    return BraidWord(strands, tuple(rng.choice(pool) for _ in range(length)))
+
+
+@pytest.mark.parametrize("lo", [1, 124, 293])
+@pytest.mark.parametrize("seed", range(3))
+def test_string_fold_matches_the_tuple_fold_on_300_strands(seed, lo):
+    # the code of x_k passes one byte from k = 127 on
+    rng = random.Random(seed)
+    n = 300
+    b = _band_braid(rng, n, lo, lo + 6, 30)
+    for images in ([(k,) for k in range(1, n + 1)], [(n,)], [(lo + 3,)]):
+        assert _outcome(_fold, b, images, 60) == _outcome(tuple_fold, b, images, 60)
+
+
+def _shifted(letters, t):
+    return tuple(k + t if k > 0 else k - t for k in letters)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_string_fold_at_the_top_of_the_coding_is_the_shifted_small_fold(seed):
+    # the action of crossings s_{t+1}.. on x_{t+1}.. is that of s_1.. on x_1..
+    # shifted by t, so a braid at the last strand count the coding takes
+    # folds as its copy on 5 strands does, with codes up to sys.maxunicode
+    rng = random.Random(seed)
+    small = _band_braid(rng, 5, 1, 4, 14)
+    t = _MAX_STRANDS - 5
+    top = BraidWord(_MAX_STRANDS, _shifted(small.letters, t))
+    for k in range(1, 6):
+        want = _outcome(tuple_fold, small, [(k,)], 40)
+        if want[0] != "refused":
+            want = [_shifted(img, t) for img in want]
+        assert _outcome(_fold, top, [(k + t,)], 40) == want
+
+
+def test_fold_refuses_a_strand_count_past_the_coding():
+    b = BraidWord(_MAX_STRANDS + 1, (1, 1))
+    with pytest.raises(ValueError, match=f"at most {_MAX_STRANDS} strands, got {_MAX_STRANDS + 1}"):
+        _fold(b, [(1,)], DEFAULT_MAX_LETTERS)
+    with pytest.raises(ValueError, match=f"at most {_MAX_STRANDS} strands"):
+        from_word(b)
+
+
+@pytest.mark.parametrize("cap", [True, False, 0, -1, 2.5, 128.0, "5", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, cap: artin(w, cap),
+        lambda w, cap: braid_eq(w, BraidWord(3, (1, 1)), cap),
+        lambda w, cap: braid_eq(w, w, cap),
+        lambda w, cap: from_word(w, cap),
+    ],
+    ids=["artin", "braid_eq", "braid_eq of equal letters", "from_word"],
+)
+def test_max_letters_must_be_a_positive_integer(call, cap):
+    with pytest.raises(ValueError, match="max_letters must be a positive integer, got "):
+        call(BraidWord(3, (2, 2)), cap)
+
+
+def test_the_cap_reads_the_longest_image_not_the_total():
+    # s1 sends x1 to 3 letters and x2 to 1: 4 letters in all, 3 in the longest
+    b = BraidWord(2, (1,))
+    assert [len(w) for w in artin(b, max_letters=3).images] == [3, 1]
+    message = r"generator image grew to 3 letters \(cap 2\); pass a larger max_letters if this is intentional"
+    with pytest.raises(WordTooLongError, match=message):
+        artin(b, max_letters=2)
+    with pytest.raises(WordTooLongError, match=message):
+        _fold(b, [(2,), (1,)], 2)

@@ -130,6 +130,34 @@ def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():
     assert "_orbit" not in reducing
 
 
+def test_the_fold_reduces_no_tuples_and_takes_every_crossing_from_one_table():
+    # braid._fold applies each crossing as one str.replace chain and never
+    # calls _reduce_letters; every string it substitutes is a placeholder,
+    # the empty string or a name unpacked from _CROSSINGS, whose entries
+    # braid._crossing alone builds, read nowhere but where the table is made
+    path = PACKAGE / "braid.py"
+    replacing, reducing, building = set(), set(), set()
+    table, arguments = set(), []
+    for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "replace":
+            replacing.add(scope)
+            arguments += node.args
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript):
+            if isinstance(node.value.value, ast.Name) and node.value.value.id == "_CROSSINGS":
+                table |= {name.id for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+        if isinstance(node, ast.Name) and node.id == "_reduce_letters":
+            reducing.add(scope)
+        if isinstance(node, ast.Name) and node.id == "_crossing":
+            building.add(scope)
+    assert replacing == {"_fold"}
+    assert "_fold" not in reducing
+    assert building == {""}
+    assert len(arguments) == 14
+    for arg in arguments:
+        named = isinstance(arg, ast.Name) and arg.id in table | {"_P", "_Q"}
+        assert named or (isinstance(arg, ast.Constant) and arg.value == ""), ast.unparse(arg)
+
+
 def test_all_is_exactly_the_public_names_bound_in_the_package():
     # an import without an export, or an export without an import, fails
     bound = {

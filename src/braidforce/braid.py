@@ -22,8 +22,12 @@ one fixed chain of ``str.replace`` calls over every image at once: the
 simultaneous substitution through the placeholders, then the removal of
 the one letter pair that can cancel, x_i^-1 x_i for s_i and
 x_{i+1} x_{i+1}^-1 for s_i^-1; no other pair cancels and no cancel
-cascades.  Folds stay capped as before: after each crossing, a fold whose
+cascades.  Folds are capped: after each crossing, a fold whose
 longest image passes ``max_letters`` raises ``WordTooLongError``.
+
+A fold returns its coded text, decoded only where letters are read: by
+``artin`` into a ``FreeWord`` per image, by ``augbraid.from_word`` for its
+one image.  ``braid_eq`` compares two folds' texts as they are.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, _format_letters, _is_int, _parse_letters, _word
+from .freegroup import FreeEndo, _Memo, _format_letters, _is_int, _parse_letters, _word
 
 DEFAULT_MAX_LETTERS = 128
 
@@ -124,22 +128,6 @@ def _check_cap(max_letters) -> None:
         raise ValueError(f"max_letters must be a positive integer, got {max_letters!r}")
 
 
-class _Memo(dict):
-    """A table whose value for a key is built by one function on the key's first lookup and kept.
-
-    The fold reads its tables once per letter; a dict subscript there costs
-    about half a functools.cache call.
-    """
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 # the fold's one-character letter codes; see the module docstring
 _SEP, _P, _Q = "\x00", "\x01", "\x02"
 _MAX_STRANDS = (sys.maxunicode - 2) // 2
@@ -167,12 +155,14 @@ def _crossing(letter: int) -> tuple[str, ...]:
 _CROSSINGS = _Memo(_crossing)
 
 
-def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> list[tuple[int, ...]]:
+def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> str:
     """Fold reduced letter tuples of F_strands through b's crossings, first letter first.
 
     The images are coded one character per letter (see the module
-    docstring) and joined into one string, separated by _SEP.  A crossing
-    with table (c, C, d, D, tdT, tDT, Tt) from _crossing is the chain
+    docstring) and joined into one string, separated by _SEP, which is
+    folded and returned: image j is part j of text.split(_SEP), and _LETTER
+    decodes its characters.  A crossing with table (c, C, d, D, tdT, tDT,
+    Tt) from _crossing is the chain
 
         c -> P, C -> Q, d -> c, D -> C, P -> tdT, Q -> tDT, Tt -> ''
 
@@ -202,10 +192,9 @@ def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> list
 
     Image lengths can grow exponentially in the word length, so the fold
     aborts once any image exceeds max_letters, after the crossing that
-    made it so, as the per-letter fold did.  The total letter count is
-    read first; the longest image is split out only when the total passes
-    the cap.  This is the package's one capped fold: callers pass only
-    the images they read.
+    made it so.  The total letter count is read first; the longest image
+    is split out only when the total passes the cap.  This is the
+    package's one capped fold: callers pass only the images they read.
     """
     _check_cap(max_letters)
     if b.strands > _MAX_STRANDS:
@@ -228,7 +217,7 @@ def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> list
                     f"generator image grew to {longest} letters (cap {max_letters}); "
                     "pass a larger max_letters if this is intentional"
                 )
-    return [tuple(map(_LETTER.__getitem__, part)) for part in text.split(_SEP)]
+    return text
 
 
 def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
@@ -236,24 +225,28 @@ def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
 
     Every generator image is folded by _fold, which aborts once any image
     exceeds max_letters; raise the cap explicitly for long but tame words.
-    The images become words once, at the end.
+    The folded text is decoded into words once, at the end.
     """
     n = b.strands
-    images = _fold(b, [(k,) for k in range(1, n + 1)], max_letters)
-    return FreeEndo(n, tuple(_word(n, img) for img in images))
+    text = _fold(b, [(k,) for k in range(1, n + 1)], max_letters)
+    return FreeEndo(n, tuple(_word(n, tuple(map(_LETTER.__getitem__, part))) for part in text.split(_SEP)))
 
 
 def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
     """Word-problem test through faithfulness of the Artin representation.
 
     Words with the same letters are equal without a fold, so no cap applies.
+    Otherwise both fold every generator image under the cap, b1 first, as
+    artin does; one character codes one letter, so the braids are equal
+    exactly when the folded texts are, and no word is built.
     """
     if b1.strands != b2.strands:
         raise ValueError("strand count mismatch")
     _check_cap(max_letters)
     if b1.letters == b2.letters:
         return True
-    return artin(b1, max_letters) == artin(b2, max_letters)
+    gens = [(k,) for k in range(1, b1.strands + 1)]
+    return _fold(b1, gens, max_letters) == _fold(b2, gens, max_letters)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,21 @@ def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
     return w
 
 
+class _Memo(dict):
+    """A table whose value for a key is built by one function on the key's first lookup and kept.
+
+    Hot loops read it once per letter, and a dict subscript costs about half a functools.cache call.
+    """
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def reduce(rank: int, letters) -> FreeWord:
     """Freely reduce a letter sequence into a FreeWord.
 
@@ -239,27 +254,13 @@ def _parse_letters(text: str, letter: str) -> tuple[int, ...]:
     return tuple(letters)
 
 
-class _Tokens(dict):
-    """Text tokens of signed letters over one generator letter, each built on its first lookup."""
-
-    def __init__(self, letter: str) -> None:
-        super().__init__()
-        self.letter = letter
-
-    def __missing__(self, k: int) -> str:
-        token = self[k] = f"{self.letter}{k}" if k > 0 else f"{self.letter}{-k}^-1"
-        return token
-
-
-_TOKENS = {"x": _Tokens("x"), "s": _Tokens("s")}
+_TOKENS = {g: _Memo(lambda k, g=g: f"{g}{k}" if k > 0 else f"{g}{-k}^-1") for g in "xs"}
 
 
 def _format_letters(letters: tuple[int, ...], letter: str) -> str:
     """The text form of signed letters over the generator letter `x` or `s`; `e` when there are none.
 
-    The tokens come from that generator letter's table in `_TOKENS`, which
-    holds `x<k>` or `x<k>^-1` for every letter printed so far: a token is
-    built on its letter's first lookup and kept for the life of the process.
+    Each token, `x<k>` or `x<k>^-1`, comes from that generator letter's `_Memo` in `_TOKENS`.
     """
     return " ".join(map(_TOKENS[letter].__getitem__, letters)) or "e"
 

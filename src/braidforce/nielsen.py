@@ -118,12 +118,15 @@ class TwistContext:
 
     @functools.cached_property
     def _families(self) -> tuple[DegenerateFamily, ...]:
-        """One degenerate family per fixed strand of theta, in ascending order."""
+        """One degenerate family per fixed strand of theta, in ascending order.
+
+        ValueError unless theta, like a braid iterate, sends each fixed strand's generator to a conjugate of it.
+        """
         fams = []
         for i in self._strand_perm.fixed_points():
             lam = _conjugator_of(self.theta.images[i - 1], i)
-            if lam is None:  # braid images are conjugates of generators
-                raise AssertionError(f"image of x{i} is not a conjugate of x{i}")
+            if lam is None:
+                raise ValueError(f"image of x{i} is not a conjugate of x{i}; only a braid iterate has degenerate families")
             fams.append(DegenerateFamily(i, lam))
         return tuple(fams)
 
@@ -605,7 +608,8 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord) -> Decision:
     largest strand t of i's cycle, so at most one k can match gamma's:
     k = inv(gamma)[t] - inv(conj)[t], when every other coordinate already
     agrees.  Any other probe would get a No from twisted_conj, so only that
-    one is built and searched, and only when |k| <= k_max.
+    one is built and searched, and only when |k| <= k_max.  ValueError
+    when theta has no families to read (see TwistContext._families).
     """
     if gamma.rank != ctx.rank:
         raise ValueError("rank mismatch")

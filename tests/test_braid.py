@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from braidforce import (
     BraidWord,
@@ -18,7 +18,7 @@ from braidforce import (
     power,
 )
 from braidforce.freegroup import FreeEndo, compose
-from braidforce.braid import DEFAULT_MAX_LETTERS, _MAX_STRANDS, _fold
+from braidforce.braid import DEFAULT_MAX_LETTERS, _LETTER, _MAX_STRANDS, _SEP, _fold
 from oracles import artin_apply, braid_invert, braid_mul, fixes_last_strand, gen, letter_endo, pure_gen, tuple_fold
 
 
@@ -270,6 +270,59 @@ def test_artin_matches_compose_fold_reference(b, cap):
     assert _outcome(artin, b, cap) == _outcome(_artin_compose_fold, b, cap)
 
 
+def _respell(draw, n, letters):
+    """Rewrite letters in place by one braid relation, where one applies at a drawn place.
+
+    Far crossings commute, s_i s_j s_i = s_j s_i s_j for |i - j| = 1 (both
+    signs alike), and a cancelling pair is removed or inserted; the word
+    stays at most 12 letters long.
+    """
+    at = draw(st.integers(0, len(letters)))
+    a, b, c = (letters[at:at + 3] + [None] * 3)[:3]
+    if b is not None and abs(abs(a) - abs(b)) > 1:
+        letters[at:at + 2] = [b, a]
+    elif c == a and b is not None and abs(a - b) == 1 and a * b > 0:
+        letters[at:at + 3] = [b, a, b]
+    elif b is not None and a == -b:
+        del letters[at:at + 2]
+    elif len(letters) <= 10:
+        k = draw(st.sampled_from([k for i in range(1, n) for k in (i, -i)]))
+        letters[at:at] = [k, -k]
+
+
+@st.composite
+def braid_pairs(draw):
+    """Two braid words on 2-6 strands with up to 12 letters: drawn apart, or the second respelled from the first."""
+    n = draw(st.integers(2, 6))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    first = draw(st.lists(st.sampled_from(pool), max_size=12))
+    if n > 2 and len(first) <= 9 and draw(st.booleans()):
+        i = draw(st.integers(1, n - 2))
+        sign = draw(st.sampled_from([1, -1]))
+        at = draw(st.integers(0, len(first)))
+        first[at:at] = [sign * i, sign * (i + 1), sign * i]
+    if draw(st.booleans()):
+        second = draw(st.lists(st.sampled_from(pool), max_size=12))
+    else:
+        second = list(first)
+        for _ in range(draw(st.integers(1, 4))):
+            _respell(draw, n, second)
+    return BraidWord(n, tuple(first)), BraidWord(n, tuple(second))
+
+
+def _artin_eq(b1, b2, max_letters):
+    """braid_eq as its definition: equal letters, or equal Artin automorphisms, b1 folded first."""
+    return b1.letters == b2.letters or artin(b1, max_letters) == artin(b2, max_letters)
+
+
+@given(braid_pairs(), st.integers(1, 40))
+@example((BraidWord(3, (1, 1)), BraidWord(3, (-1, 2))), 3)  # both refuse: at 5 letters, and at 7
+def test_braid_eq_matches_the_equality_of_artin_automorphisms(pair, cap):
+    # the same verdict, or the same refusal at the same letter of the same word with the same message
+    b1, b2 = pair
+    assert _outcome(braid_eq, b1, b2, cap) == _outcome(_artin_eq, b1, b2, cap)
+
+
 @st.composite
 def folds(draw):
     """A braid word on 2-9 strands with up to 40 letters, and the images artin or from_word folds."""
@@ -280,11 +333,16 @@ def folds(draw):
     return b, images
 
 
+def _decoded_fold(b, images, max_letters):
+    """_fold's text split into its images, each decoded into letters."""
+    return [tuple(map(_LETTER.__getitem__, part)) for part in _fold(b, images, max_letters).split(_SEP)]
+
+
 @given(folds(), st.one_of(st.integers(1, 40), st.just(DEFAULT_MAX_LETTERS)))
 def test_string_fold_matches_the_tuple_fold(fold, cap):
     # every image equal, or the same refusal at the same letter with the same message
     b, images = fold
-    assert _outcome(_fold, b, images, cap) == _outcome(tuple_fold, b, images, cap)
+    assert _outcome(_decoded_fold, b, images, cap) == _outcome(tuple_fold, b, images, cap)
 
 
 def _band_braid(rng, strands, lo, hi, length):
@@ -301,7 +359,7 @@ def test_string_fold_matches_the_tuple_fold_on_300_strands(seed, lo):
     n = 300
     b = _band_braid(rng, n, lo, lo + 6, 30)
     for images in ([(k,) for k in range(1, n + 1)], [(n,)], [(lo + 3,)]):
-        assert _outcome(_fold, b, images, 60) == _outcome(tuple_fold, b, images, 60)
+        assert _outcome(_decoded_fold, b, images, 60) == _outcome(tuple_fold, b, images, 60)
 
 
 def _shifted(letters, t):
@@ -321,7 +379,7 @@ def test_string_fold_at_the_top_of_the_coding_is_the_shifted_small_fold(seed):
         want = _outcome(tuple_fold, small, [(k,)], 40)
         if want[0] != "refused":
             want = [_shifted(img, t) for img in want]
-        assert _outcome(_fold, top, [(k + t,)], 40) == want
+        assert _outcome(_decoded_fold, top, [(k + t,)], 40) == want
 
 
 def test_fold_refuses_a_strand_count_past_the_coding():

@@ -25,6 +25,7 @@ from braidforce import (
     reidemeister_trace,
     to_word,
 )
+from braidforce.braid import _fold
 from braidforce.forcing import report_json, report_text
 from braidforce import nielsen
 from braidforce.cli import main
@@ -139,16 +140,15 @@ def test_is_forced_base_mismatch():
     assert d.certificate == ("base_mismatch",)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count calls of artin, braid_eq and merge through every braidforce namespace that binds them.
+def _count_calls(monkeypatch, fns):
+    """Count calls of fns through every braidforce namespace that binds them.
 
     The pipeline cache is cleared first, so the first query of each theta merges.
     """
     nielsen._analyse.cache_clear()
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name == "braidforce" or name.startswith("braidforce.")]
-    for fn in (artin, braid_eq, merge):
+    for fn in fns:
 
         def counted(*args, _fn=fn, **kwargs):
             counts[_fn.__name__] += 1
@@ -161,19 +161,31 @@ def calls(monkeypatch):
     return counts
 
 
-def test_from_word_folds_only_what_it_compares(calls):
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of artin, braid_eq and merge, counted by _count_calls."""
+    return _count_calls(monkeypatch, (artin, braid_eq, merge))
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Calls of braid._fold, artin and braid_eq, counted by _count_calls."""
+    return _count_calls(monkeypatch, (_fold, artin, braid_eq))
+
+
+def test_from_word_folds_only_what_it_compares(fold_calls):
     a = AugBraid(BETA5, parse_word("x1 x5^-1", 5))
     w = to_word(a)
     # a round trip spells its input letter for letter, so braid_eq verifies
-    # it by its letters; x6 is folded outside artin and braid_eq
+    # it by its letters: only x6 is folded
     assert from_word(w) == a
-    assert calls == {"braid_eq": 1}
+    assert fold_calls == {"braid_eq": 1, "_fold": 1}
     # the same braid times the relator s5 s4 s5 (s4 s5 s4)^-1, which moves
-    # the last strand, comes back spelled otherwise: the input and the check
-    # are folded once each
+    # the last strand, comes back spelled otherwise: x6 is folded, then
+    # braid_eq folds the input and the check once each, with no artin
     rewritten = BraidWord(6, w.letters + (5, 4, 5, -4, -5, -4))
     back = from_word(rewritten)
-    assert calls == {"braid_eq": 2, "artin": 2}
+    assert fold_calls == {"braid_eq": 2, "_fold": 4}
     assert back.tail == a.tail
     assert braid_eq(back.base, BETA5)
 

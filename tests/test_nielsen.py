@@ -908,3 +908,18 @@ def test_context_without_strand_permutation_walks_orbits_only(images):
     with pytest.raises(ValueError):
         canonical_rep(ctx, u)
     _assert_bounded_orbit_filters_reference(ctx, u, 2)
+
+
+def test_families_of_a_theta_that_fixes_a_strand_off_its_conjugacy_class_are_refused():
+    # theta(x1) abelianizes to e_1, so strand 1 is fixed, but x1 x2 x1 x1
+    # x2^-1 x1^-1 x1^-1 is no conjugate of x1: no braid iterate sends x1
+    # there, so theta has no degenerate families, while twisted conjugacy
+    # needs only the strand permutation
+    ctx = TwistContext.create(_endo(2, "x1 x2 x1 x1 x2^-1 x1^-1 x1^-1", "x2"))
+    message = "image of x1 is not a conjugate of x1; only a braid iterate has degenerate families"
+    with pytest.raises(ValueError, match=message):
+        ctx._families
+    with pytest.raises(ValueError, match=message):
+        is_degenerate(ctx, gen(2, 1))
+    assert twisted_conj(ctx, gen(2, 1), gen(2, 2)).is_no
+    assert twisted_conj(ctx, gen(2, 2), gen(2, 2)).is_yes

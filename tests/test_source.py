@@ -158,6 +158,21 @@ def test_the_fold_reduces_no_tuples_and_takes_every_crossing_from_one_table():
         assert named or (isinstance(arg, ast.Constant) and arg.value == ""), ast.unparse(arg)
 
 
+def test_braid_eq_compares_folded_texts_and_only_artin_and_from_word_decode_them():
+    # braid_eq compares two folds' coded texts, so it builds no FreeEndo and
+    # calls no artin; _LETTER, the decode table, is read where it is made
+    # and where letters leave the fold: artin's images and from_word's image
+    building, decoding = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id in ("artin", "FreeEndo") and scope == "braid_eq":
+                building.add(node.id)
+            if isinstance(node, ast.Name) and node.id == "_LETTER":
+                decoding.add((path.name, scope))
+    assert building == set()
+    assert decoding == {("braid.py", ""), ("braid.py", "artin"), ("augbraid.py", "from_word")}
+
+
 def test_all_is_exactly_the_public_names_bound_in_the_package():
     # an import without an export, or an export without an import, fails
     bound = {

@@ -101,8 +101,9 @@ def _to_word_text(a: AugBraid) -> str:
     """format_braid(to_word(a)), without building the word.
 
     to_word spells the base's letters, then one `_phi_spellings` block per
-    tail letter, unreduced, so its text is the base's text followed by the
-    kept text of each tail letter's block; `e` only when both are empty.
+    tail letter, unreduced, so its text is the base's kept text followed by
+    the kept text of each tail letter's block; `e` only when both are empty.
+    Forced braids share their base, so it is formatted once for all of them.
     """
     texts = _phi_texts(a.tail.rank)
     parts = [texts[k] for k in a.tail.letters]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .freegroup import FreeEndo, _Memo, _format_letters, _is_int, _parse_letters, _word
 
@@ -67,6 +68,10 @@ class BraidWord:
 
     def __repr__(self) -> str:
         return f"BraidWord({self.strands}, {format_braid(self)!r})"
+
+    @cached_property
+    def _text(self) -> str:
+        return _format_letters(self.letters, "s")
 
 
 def _braid(strands: int, letters: tuple[int, ...]) -> BraidWord:
@@ -259,4 +264,5 @@ def parse_braid(text: str, strands: int) -> BraidWord:
 
 
 def format_braid(b: BraidWord) -> str:
-    return _format_letters(b.letters, "s")
+    """The text form of b, e.g. `s1 s2^-1` or `e`: built by b's first call and kept on b, which is immutable."""
+    return b._text

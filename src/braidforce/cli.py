@@ -48,10 +48,10 @@ def _json_text(doc) -> str:
     The standard encoder runs in pure Python whenever ``indent`` is set.
     This writer appends chunks to one list and joins it once, writes
     scalars and the str items of a list inline, and escapes each distinct
-    string object once through the C ``encode_basestring_ascii``.  The
-    escapes are memoised by ``id``: the document holds every string alive,
-    so no id is reused while it is written, and a word that recurs across
-    pairs or between a class and a forced braid is escaped once.  A list's
+    string once through the C ``encode_basestring_ascii``.  The escapes are
+    memoised by the string itself: a word keeps its text, so a word that
+    recurs across pairs or between a class and a forced braid is one str,
+    whose hash is computed once and whose lookup matches by identity.  A list's
     items are not joined into one string first: the pairs of a long trace
     hold megabytes of text, which that would copy once more.  Types are
     matched exactly: a float, a subclass of those types or a key that is
@@ -59,15 +59,15 @@ def _json_text(doc) -> str:
     """
     chunks: list[str] = []
     append = chunks.append
-    escaped: dict[int, str] = {}
+    escaped: dict[str, str] = {}
 
     def write(o, pad: str) -> None:
         # pad is the newline and indentation before o's closing bracket
         t = type(o)
         if t is str:
-            e = escaped.get(id(o))
+            e = escaped.get(o)
             if e is None:
-                e = escaped[id(o)] = encode_basestring_ascii(o)
+                e = escaped[o] = encode_basestring_ascii(o)
             append(e)
         elif t is int:
             append(repr(o))
@@ -87,9 +87,9 @@ def _json_text(doc) -> str:
                 append(sep)
                 if type(x) is str:
                     # most list items are words: escaped here, without a call to write
-                    e = escaped.get(id(x))
+                    e = escaped.get(x)
                     if e is None:
-                        e = escaped[id(x)] = encode_basestring_ascii(x)
+                        e = escaped[x] = encode_basestring_ascii(x)
                     append(e)
                 else:
                     write(x, inner)
@@ -328,6 +328,10 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         # a result failed its verification by substitution: a bug, not bad input
         print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # uncaught, it would exit 1, which reads as unknown; a huge -m can ask for more memory than exists
+        print("error: out of memory", file=sys.stderr)
         return 2
     print(_json_text(doc) if args.json else args.text(doc))
     return code

@@ -145,26 +145,21 @@ def is_forced(
 
 
 def report_json(report: ForcingReport) -> dict:
-    # forced_set gives every forced braid its class's representative as
-    # tail, the very object: keyed by identity, each is formatted once, so
-    # no long word is hashed; the report holds every word alive
-    names = {id(c.representative): format_word(c.representative) for c in report.classes}
     classes = []
     for c in report.classes:
         entry = {
             "coefficient": c.coefficient,
-            "representative": names[id(c.representative)],
+            "representative": format_word(c.representative),
             "degeneracy": c.degeneracy.kind,
             "abelian_label": list(c.abelian_label),
             "boundary": None if c.boundary is None else c.boundary.kind,
         }
         classes.append(entry)
-    base = format_braid(report.base)  # the base of every forced braid
     return {
         "n": report.beta.strands,
         "m": report.m,
         "beta": format_braid(report.beta),
-        "base_word": base,
+        "base_word": format_braid(report.base),
         "bounds": asdict(report.bounds),
         "boundary_fixed": report.boundary_fixed,
         "permissive": report.permissive,
@@ -172,8 +167,8 @@ def report_json(report: ForcingReport) -> dict:
         "classes": classes,
         "forced": [
             {
-                "base": base,
-                "tail": names.get(id(a.tail)) or format_word(a.tail),
+                "base": format_braid(a.base),
+                "tail": format_word(a.tail),
                 "word": _to_word_text(a),
             }
             for a in report.forced

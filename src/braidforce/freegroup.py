@@ -87,6 +87,10 @@ class FreeWord:
     def __repr__(self) -> str:
         return f"FreeWord({self.rank}, {format_word(self)!r})"
 
+    @cached_property
+    def _text(self) -> str:
+        return _format_letters(self.letters, "x")
+
 
 def _is_int(x) -> bool:
     """An int that is not a bool: the only type a rank, strand count, letter or bound may have."""
@@ -271,4 +275,5 @@ def parse_word(text: str, rank: int) -> FreeWord:
 
 
 def format_word(w: FreeWord) -> str:
-    return _format_letters(w.letters, "x")
+    """The text form of w, e.g. `x1 x2^-1` or `e`: built by w's first call and kept on w, which is immutable."""
+    return w._text

@@ -523,15 +523,14 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
             classes.append(target)
             bucket.append(target)
         owner[w.letters] = target
-    key = functools.cache(word_sort_key)  # one key per distinct representative
     summands = []
     for cl in classes:
         if cl.coeff == 0:
             continue
         members = tuple(m for _, m in sorted(cl.members))
-        rep = min((canonical_rep(ctx, m) for m in members), key=key)
+        rep = min((canonical_rep(ctx, m) for m in members), key=word_sort_key)
         summands.append(TraceSummand(cl.coeff, rep, members))
-    summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, key(s.representative)))
+    summands.sort(key=lambda s: (0 if s.coefficient > 0 else 1, word_sort_key(s.representative)))
     pairs = tuple((raw.terms[a][0], raw.terms[b][0]) for a, b in sorted(unresolved))
     return MergedTrace(ctx.rank, tuple(summands), pairs)
 
@@ -550,16 +549,8 @@ def format_trace(mt: MergedTrace) -> str:
 
 
 def _format_pairs(pairs: tuple[tuple[FreeWord, FreeWord], ...]) -> list[list[str]]:
-    """The two words of each pair, formatted; a word object that recurs across pairs is formatted once.
-
-    The memo is keyed by object identity, so no long word is hashed: merge
-    puts the same raw-term object into every pair of a member.  Equal words
-    that are different objects are formatted once each, to the same string.
-    The pairs hold every word alive, so no identity is reused meanwhile.
-    """
-    words = {id(w): w for pair in pairs for w in pair}
-    names = {k: format_word(w) for k, w in words.items()}
-    return [[names[id(a)], names[id(b)]] for a, b in pairs]
+    """The two words of each pair, formatted: a word keeps its text, so one that recurs across pairs is formatted once."""
+    return [[format_word(a), format_word(b)] for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -573,15 +564,12 @@ class DegenerateFamily:
     strand: int
     conj: FreeWord
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.strand) or self.strand < 1:
-            raise ValueError(f"strand must be a positive integer, got {self.strand!r}")
-        if not isinstance(self.conj, FreeWord):
-            raise ValueError(f"conj must be a FreeWord, got {self.conj!r}")
-
 
 def _check_iterate(m: int) -> None:
-    """ValueError unless m is an int (not a bool) of at least 1: the one check of m, run by _iterate and the CLI's perm."""
+    """ValueError unless m is an int (not a bool) of at least 1.
+
+    This is the one check of m, run by _iterate, cli._cmd_perm and cli._cmd_is_forced.
+    """
     if not _is_int(m):
         raise ValueError(f"iteration count m must be an integer, got {m!r}")
     if m < 1:

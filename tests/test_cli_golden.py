@@ -8,6 +8,7 @@ text and in `--json`, error paths included.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1264,6 +1265,17 @@ def test_perm_at_a_huge_iterate_prints_what_its_residue_prints(capsys):
     small = capsys.readouterr()
     assert cli.main(argv + ['1000000000000000002']) == 0
     assert capsys.readouterr() == small
+
+
+def test_is_forced_word_at_a_huge_iterate_is_an_error_not_an_unknown(capsys):
+    # spelling beta^m for the candidate's base asks for more memory than
+    # exists; power raises MemoryError before it allocates, and exit 1
+    # would read as unknown
+    argv = ['is-forced', '-n', '5', '--braid', WORKED, '-m', '1000000000000000002', '--word', 'x1']
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr() == ('', 'error: out of memory\n')
 
 
 @settings(max_examples=80, deadline=None)

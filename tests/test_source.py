@@ -7,6 +7,8 @@ import types
 from pathlib import Path
 
 import braidforce
+from braidforce.braid import BraidWord, _braid, format_braid, parse_braid
+from braidforce.freegroup import FreeWord, _word, format_word, parse_word
 
 PACKAGE = Path(braidforce.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -99,15 +101,38 @@ def test_nielsen_abelianizes_in_abelian_invariant_and_the_strand_permutation_onl
 
 def test_analyse_is_the_one_cross_call_memo_in_nielsen():
     # a repeated query reuses its whole pipeline, keyed by (theta, bounds),
-    # so no stage keeps a process-wide cache of its own; merge's local sort
-    # key memo and the context's cached properties die with their owners
+    # so no stage keeps a process-wide cache of its own; the context's
+    # cached properties die with it
     path = PACKAGE / "nielsen.py"
     found = set()
     for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
         name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
         if name in ("lru_cache", "cache"):
             found.add(scope)
-    assert found == {"_analyse", "merge"}
+    assert found == {"_analyse"}
+
+
+def test_no_package_code_calls_id():
+    # a memo keyed by id() is only sound while every keyed object stays
+    # alive; words keep their own text instead, and other memos key by value
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id":
+                found.append(f"{path.name}:{node.lineno} in {scope or '<module>'}")
+    assert found == []
+
+
+def test_words_and_braids_keep_their_text():
+    # format_word and format_braid format a word object once and return the
+    # kept string after; equal words built any way have equal text
+    w = parse_word("x1 x2^-1 x3", 3)
+    assert format_word(w) is format_word(w)
+    assert format_word(w) == format_word(FreeWord(3, (1, -2, 3))) == format_word(_word(3, (1, -2, 3))) == "x1 x2^-1 x3"
+    assert format_word(_word(3, ())) == format_word(FreeWord(3)) == format_word(parse_word("e", 3)) == "e"
+    b = parse_braid("s2 s1^-1", 3)
+    assert format_braid(b) is format_braid(b)
+    assert format_braid(b) == format_braid(BraidWord(3, (2, -1))) == format_braid(_braid(3, (2, -1))) == "s2 s1^-1"
 
 
 def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():

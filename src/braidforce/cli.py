@@ -46,16 +46,15 @@ def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2)`` for a document of str, int, bool, None, lists, tuples and str-keyed dicts.
 
     The standard encoder runs in pure Python whenever ``indent`` is set.
-    This writer appends chunks to one list and joins it once, writes
-    scalars and the str items of a list inline, and escapes each distinct
-    string once through the C ``encode_basestring_ascii``.  The escapes are
-    memoised by the string itself: a word keeps its text, so a word that
-    recurs across pairs or between a class and a forced braid is one str,
-    whose hash is computed once and whose lookup matches by identity.  A list's
-    items are not joined into one string first: the pairs of a long trace
-    hold megabytes of text, which that would copy once more.  Types are
-    matched exactly: a float, a subclass of those types or a key that is
-    not a str raises TypeError.
+    This writer appends chunks to one list and joins it once, and escapes
+    each distinct string once through the C ``encode_basestring_ascii``.
+    The escapes are memoised by the string itself: a word keeps its text,
+    so a word that recurs across pairs or between a class and a forced
+    braid is one str, whose hash is computed once and whose lookup matches
+    by identity.  A list's items are not joined into one string first: the
+    pairs of a long trace hold megabytes of text, which that would copy
+    once more.  Types are matched exactly: a float, a subclass of those
+    types or a key that is not a str raises TypeError.
     """
     chunks: list[str] = []
     append = chunks.append
@@ -85,14 +84,7 @@ def _json_text(doc) -> str:
             sep = "[" + inner
             for x in o:
                 append(sep)
-                if type(x) is str:
-                    # most list items are words: escaped here, without a call to write
-                    e = escaped.get(x)
-                    if e is None:
-                        e = escaped[x] = encode_basestring_ascii(x)
-                    append(e)
-                else:
-                    write(x, inner)
+                write(x, inner)
                 sep = "," + inner
             append(pad + "]")
         elif t is dict:

@@ -253,13 +253,7 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
     inequality of the word metric, at least len(theta(alpha)) - len(mid[k])
     - len(alpha) and len(mid[k]) - len(theta(alpha)) - len(alpha).  So at
     each leaf-parent these bounds fix a range of mid lengths that can land
-    in the window, and a leaf whose mid is outside it is skipped uncounted;
-    a leaf-parent whose longest sum is under min_len is skipped whole.
-    When even its shortest sum is over max_len, only a leaf that cancels at
-    a join can land in the window: one whose mid is empty, starts by
-    cancelling theta(alpha) or ends by cancelling alpha^-1.  Only those
-    rows are looped over, looked up by that pair of letters in lists built
-    once per walk.
+    in the window, and a leaf whose mid is outside it is skipped uncounted.
     """
     n = ctx.rank
     letters = [k for i in range(1, n + 1) for k in (i, -i)]
@@ -270,17 +264,10 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
     if not radius:
         return
     rows = []
-    shortest, longest = float("inf"), 0
     for k in letters:
         parts = (timg[k], u_letters, (-k,))
         m = _splice(*parts, _cancels(*parts))
-        lm = len(m)
-        if lm < shortest:
-            shortest = lm
-        if lm > longest:
-            longest = lm
-        rows.append((k, m, lm, m[0] if m else 0, m[-1] if m else 0))
-    joining = {}  # (th_end, inv_head) -> the rows that can cancel at a join with them
+        rows.append((k, m, len(m), m[0] if m else 0, m[-1] if m else 0))
     for depth in range(1, radius + 1):
         # stack entries: (alpha, theta(alpha), alpha^-1)
         stack = [((), (), ())]
@@ -293,8 +280,6 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
                 # is the sum
                 lth, la = len(th), len(inv_a)
                 outer = lth + la
-                if outer + longest < min_len:
-                    continue
                 th_end = -th[-1] if th else 0
                 inv_head = -inv_a[0] if inv_a else 0
                 # the mid lengths lo..hi: the sum reaches min_len and the
@@ -303,15 +288,7 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
                 if lo < min_len - outer:
                     lo = min_len - outer
                 hi = max_len + outer
-                if outer + shortest > max_len:
-                    cands = joining.get((th_end, inv_head))
-                    if cands is None:
-                        cands = joining[th_end, inv_head] = [
-                            row for row in rows if not row[2] or row[3] == th_end or row[4] == inv_head
-                        ]
-                else:
-                    cands = rows
-                for k, m, lm, first, last in cands:
+                for k, m, lm, first, last in rows:
                     if k == back or lm < lo or lm > hi:
                         continue
                     size = outer + lm

@@ -669,6 +669,17 @@ def _endo(rank, *images):
         # braid iterates
         (artin(BETA5), "x1 x2 x3^-1"),
         (endo_power(artin(parse_braid("s1 s2^-1", 3)), 2), "x2 x1^-1"),
+        # forced-cold anchors, each with its longest raw-trace word: in the
+        # short windows many leaf-parents' sums are past max_len, where only
+        # a leaf that cancels at a join can land, and many are under min_len
+        (
+            endo_power(artin(parse_braid("s1 s2^-1", 3)), 3),
+            "x1 x3 x1^-1 x3^-1 x2 x3 x1 x3^-1 x1^-1 x3^-1 x2^-1 x3 x1 x3^-1 x2 x3 x1 x3 x1^-1 x3^-1 x2^-1 x3 x1 x3^-1 x1^-1",
+        ),
+        (
+            endo_power(artin(parse_braid("s1 s2^-1 s3", 4)), 2),
+            "x3 x4^-1 x3^-1 x2 x3 x4 x3^-1 x4^-1 x3^-1 x2^-1 x3 x4 x3^-1 x1 x3 x4^-1 x3^-1 x2 x3 x4 x3 x4^-1 x3^-1 x2^-1 x3 x4 x3^-1",
+        ),
     ],
 )
 def test_bounded_orbit_fixed_cases(theta, u):
@@ -681,8 +692,8 @@ def test_bounded_orbit_fixed_cases(theta, u):
 def test_bounded_orbit_of_the_worked_example_in_short_windows(u, radius):
     # canonical_rep's walks of the worked example: at radius 4 and 5 fewer
     # than a dozen orbit words have 3 letters or fewer, so in these windows
-    # the walk skips most leaves by their length bounds and loops only over
-    # the rows that cancel at a join
+    # the walk skips most leaves by their length bounds, and only leaves
+    # that cancel at a join can land in them
     ends = range(4)
     _assert_bounded_orbit_filters_reference(
         ctx_for(BETA5, radius=radius), parse_word(u, 5), radius, [(0, n) for n in ends] + [(n, n) for n in ends]

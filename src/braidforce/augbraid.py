@@ -29,14 +29,13 @@ from .braid import (
     _LETTER,
     BraidWord,
     _braid,
-    _check_cap,
     _fold,
     _pure_letters,
     braid_eq,
     format_braid,
     parse_braid,
 )
-from .freegroup import FreeWord, _conjugator_of, _word, format_word, parse_word, reduce
+from .freegroup import FreeWord, _check_positive, _conjugator_of, _word, format_word, parse_word, reduce
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
     """
     if w.strands < 2:
         raise ValueError("need at least 2 strands to split off the last one")
-    _check_cap(max_letters)
+    _check_positive(max_letters, "max_letters")
     if len(w.letters) > max_letters:
         raise ValueError(f"input word has {len(w.letters)} letters (cap {max_letters})")
     n = w.strands - 1

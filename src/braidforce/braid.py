@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freegroup import FreeEndo, _Memo, _format_letters, _is_int, _parse_letters, _word
+from .freegroup import FreeEndo, _Memo, _check_positive, _format_letters, _is_int, _parse_letters, _word
 
 DEFAULT_MAX_LETTERS = 128
 
@@ -53,8 +53,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.strands) or self.strands < 1:
-            raise ValueError(f"strand count must be a positive integer, got {self.strands!r}")
+        _check_positive(self.strands, "strand count")
         if not isinstance(self.letters, tuple):
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for k in self.letters:
@@ -127,12 +126,6 @@ def _pure_letters(i: int, j: int, sign: int = 1) -> tuple[int, ...]:
     return (*range(j - 1, i, -1), sign * i, sign * i, *range(-i - 1, -j, -1))
 
 
-def _check_cap(max_letters) -> None:
-    """Reject a max_letters that is not a positive integer; every capped entry point calls this."""
-    if not _is_int(max_letters) or max_letters < 1:
-        raise ValueError(f"max_letters must be a positive integer, got {max_letters!r}")
-
-
 # the fold's one-character letter codes; see the module docstring
 _SEP, _P, _Q = "\x00", "\x01", "\x02"
 _MAX_STRANDS = (sys.maxunicode - 2) // 2
@@ -201,7 +194,7 @@ def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> str:
     is split out only when the total passes the cap.  This is the
     package's one capped fold: callers pass only the images they read.
     """
-    _check_cap(max_letters)
+    _check_positive(max_letters, "max_letters")
     if b.strands > _MAX_STRANDS:
         raise ValueError(
             f"the fold codes each letter as one character, so it takes at most {_MAX_STRANDS} strands, "
@@ -247,7 +240,7 @@ def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTER
     """
     if b1.strands != b2.strands:
         raise ValueError("strand count mismatch")
-    _check_cap(max_letters)
+    _check_positive(max_letters, "max_letters")
     if b1.letters == b2.letters:
         return True
     gens = [(k,) for k in range(1, b1.strands + 1)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freegroup import FreeEndo, FreeWord, _is_int, _word, word_sort_key
+from .freegroup import FreeEndo, FreeWord, _check_positive, _is_int, _word, word_sort_key
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ class GroupRingElem:
 
 def _check_terms(rank: int, terms) -> None:
     """ValueError unless rank is a positive int and terms a tuple of (FreeWord of that rank, nonzero int)."""
-    if not _is_int(rank) or rank < 1:
-        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    _check_positive(rank, "rank")
     if not isinstance(terms, tuple):
         raise ValueError(f"terms must be a tuple, got {type(terms).__name__}")
     for w, c in terms:

@@ -70,8 +70,7 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _is_int(self.rank) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        _check_positive(self.rank, "rank")
         if not isinstance(self.letters, tuple):
             raise ValueError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for k in self.letters:
@@ -95,6 +94,12 @@ class FreeWord:
 def _is_int(x) -> bool:
     """An int that is not a bool: the only type a rank, strand count, letter or bound may have."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_positive(x, name: str) -> None:
+    """ValueError unless x is an int (not a bool) of at least 1: the one check of a rank, strand count or cap."""
+    if not _is_int(x) or x < 1:
+        raise ValueError(f"{name} must be a positive integer, got {x!r}")
 
 
 def _word(rank: int, letters: tuple[int, ...]) -> FreeWord:
@@ -187,8 +192,7 @@ class FreeEndo:
     images: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
-        if not _is_int(self.rank) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+        _check_positive(self.rank, "rank")
         if not isinstance(self.images, tuple) or len(self.images) != self.rank:
             raise ValueError(f"expected a tuple of {self.rank} images, got {self.images!r}")
         for img in self.images:

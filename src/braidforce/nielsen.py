@@ -106,7 +106,7 @@ class TwistContext:
     def create(cls, theta: FreeEndo, bounds: SearchBounds = SearchBounds()) -> TwistContext:
         return cls(theta, bounds)
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
         return self.theta.rank
 
@@ -167,8 +167,10 @@ def abelian_invariant(ctx: TwistContext, w: FreeWord) -> tuple[int, ...]:
     M being theta's abelianized matrix.  For a braid iterate M permutes the
     strands, so Z^n / im(M - I) is free on the strand cycles: this tuple
     names the coset of abelianize(w), an invariant of the twisted class.
-    Each word is abelianized once per context.
+    Each word is abelianized once per context; one of another rank is refused.
     """
+    if w.rank != ctx.rank:
+        raise ValueError("rank mismatch")
     memo = ctx._invariants
     inv = memo.get(w.letters)
     if inv is None:
@@ -301,17 +303,15 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
                         yield alpha + (k,), _splice(th, m, inv_a, cancels)
             else:
                 # theta(alpha * k) = th * theta(x_k), counted only when the
-                # join's first letters cancel
-                children = []
-                for k in letters:
+                # join's first letters cancel; pushed in reverse to pop in order
+                for k in reversed(letters):
                     if k != back:
                         img = timg[k]
                         if th and img and th[-1] == -img[0]:
                             img = _splice(th, img, (), _cancels(th, img, ()))
                         else:
                             img = th + img
-                        children.append((alpha + (k,), img, (-k,) + inv_a))
-                stack.extend(reversed(children))
+                        stack.append((alpha + (k,), img, (-k,) + inv_a))
 
 
 def _matches(ctx: TwistContext, w: FreeWord, targets, min_len: int, max_len: int):
@@ -370,8 +370,6 @@ def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
     The context needs theta's strand permutation for the floor: for a theta
     that has none, this raises ValueError, as twisted_conj and merge do.
     """
-    if w.rank != ctx.rank:
-        raise ValueError("rank mismatch")
     floor = _floor(ctx, abelian_invariant(ctx, w))
     best = w.letters
     if best == floor:
@@ -473,7 +471,6 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
     """
     if raw.rank != ctx.rank:
         raise ValueError("rank mismatch")
-    classes: list[_Class] = []
     buckets: dict[tuple[int, ...], list[_Class]] = {}
     owner: dict[tuple[int, ...], _Class] = {}
     unresolved: list[tuple[int, int]] = []
@@ -485,7 +482,6 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
             # a summand matching several previously unmergeable classes
             # bridges them; union everything into the first
             for other in reversed(hits[1:]):
-                classes.remove(other)
                 bucket.remove(other)
                 target.members.extend(other.members)
                 target.coeff += other.coeff
@@ -497,11 +493,11 @@ def merge(ctx: TwistContext, raw: GroupRingElem) -> MergedTrace:
             for cl in bucket:
                 unresolved.append((cl.members[0][0], i))
             target = _Class(i, w, c)
-            classes.append(target)
             bucket.append(target)
         owner[w.letters] = target
     summands = []
-    for cl in classes:
+    # classes that tie in the stable sort below share an invariant, so their bucket keeps them in creation order
+    for cl in (cl for bucket in buckets.values() for cl in bucket):
         if cl.coeff == 0:
             continue
         members = tuple(m for _, m in sorted(cl.members))
@@ -569,12 +565,13 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord) -> Decision:
 
     The families are theta's own, read off ctx._families.  The conjugating
     word of a fixed strand is only determined up to powers of that strand's
-    generator.  The invariant of conj * x_i^k is that of conj plus k at the
-    largest strand t of i's cycle, so at most one k can match gamma's:
-    k = inv(gamma)[t] - inv(conj)[t], when every other coordinate already
-    agrees.  Any other probe would get a No from twisted_conj, so only that
-    one is built and searched, and only when |k| <= k_max.  ValueError
-    when theta has no families to read (see TwistContext._families).
+    generator.  A fixed strand i is its own cycle, so the invariant of
+    conj * x_i^k is that of conj plus k at slot i - 1, and at most one k can
+    match gamma's: k = inv(gamma)[i - 1] - inv(conj)[i - 1], when every
+    other coordinate already agrees.  Any other probe would get a No from
+    twisted_conj, so only that one is built and searched, and only when
+    |k| <= k_max.  ValueError when theta has no families to read (see
+    TwistContext._families).
     """
     if gamma.rank != ctx.rank:
         raise ValueError("rank mismatch")
@@ -584,10 +581,10 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord) -> Decision:
     target = abelian_invariant(ctx, gamma)
     saw_unknown = False
     for fam in ctx._families:
-        top = ctx._cycle_top[fam.strand - 1]
+        slot = fam.strand - 1
         gap = [t - c for t, c in zip(target, abelian_invariant(ctx, fam.conj))]
-        k = gap[top]
-        gap[top] = 0
+        k = gap[slot]
+        gap[slot] = 0
         if any(gap) or abs(k) > k_max:
             continue
         probe = concat(fam.conj, FreeWord(ctx.rank, (fam.strand if k > 0 else -fam.strand,) * abs(k)))

@@ -207,6 +207,16 @@ def test_twisted_conj_rank_mismatch():
         twisted_conj(ctx, gen(3, 1), gen(3, 1))
 
 
+def test_abelian_invariant_rank_mismatch():
+    # zip would drop the sums of letters beyond the context's rank;
+    # canonical_rep refuses through this check
+    ctx = TwistContext.create(artin(parse_braid("s1", 2)))
+    for f in (abelian_invariant, canonical_rep):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            f(ctx, parse_word("x3 x3 x1", 3))
+    assert ctx._invariants == {}
+
+
 def test_canonical_rep():
     ctx = ctx_for(BETA5)
     assert format_word(canonical_rep(ctx, parse_word("x1 x2 x5 x2^-1 x1^-1", 5))) == "x1"
@@ -274,6 +284,29 @@ def test_merge_sorts_members_merged_by_a_bridge():
     assert format_trace(mt) == "+5*[x1^-1 x1^-1]"
     assert [format_word(m) for m in mt.summands[0].members] == words
     assert [(format_word(u), format_word(v)) for u, v in mt.unresolved] == [(words[0], words[1])]
+
+
+def test_merge_keeps_creation_order_among_summands_that_tie_on_sign_and_representative():
+    # the first two classes share sign, invariant and representative x1 and
+    # no walk at radius 1 joins them, so only the order of their raw terms
+    # separates them
+    ctx = TwistContext.create(artin(parse_braid("s1", 3)), SearchBounds(1))
+    terms = [
+        ("x2", -1),
+        ("x1 x1 x2^-1", 1),
+        ("x3 x1 x3^-1", 1),
+        ("x1^-1 x3^-1 x2 x3 x2", 1),
+        ("x1 x2 x2 x1^-1 x2 x1^-1 x1^-1", -1),
+    ]
+    mt = merge(ctx, GroupRingElem.from_terms(3, [(parse_word(w, 3), c) for w, c in terms]))
+    assert [(s.coefficient, format_word(s.representative), [format_word(m) for m in s.members]) for s in mt.summands] == [
+        (1, "x1", ["x1 x1 x2^-1"]),
+        (1, "x1", ["x3 x1 x3^-1"]),
+        (1, "x3^-1 x2 x3", ["x1^-1 x3^-1 x2 x3 x2"]),
+        (-1, "x1", ["x2"]),
+        (-1, "x1 x2 x1^-1 x2 x1^-1", ["x1 x2 x2 x1^-1 x2 x1^-1 x1^-1"]),
+    ]
+    assert len(mt.unresolved) == 10
 
 
 def test_merge_conserves_augmentation():

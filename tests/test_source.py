@@ -88,6 +88,17 @@ def test_the_image_cap_is_enforced_in_one_fold():
     assert found == [("braid.py", "_fold")]
 
 
+def test_one_check_builds_the_positive_integer_message():
+    # every rank, strand count and cap is checked by freegroup._check_positive,
+    # so the test and its message live in one place
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be a positive integer" in node.value:
+                found.append((path.name, scope))
+    assert found == [("freegroup.py", "_check_positive")]
+
+
 def test_nielsen_abelianizes_in_abelian_invariant_and_the_strand_permutation_only():
     # every class invariant, a degenerate family's included, is read through
     # abelian_invariant and its per-context memo

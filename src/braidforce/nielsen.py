@@ -23,9 +23,10 @@ floor, and a walk that reaches it can stop there with the exact result.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation, artin
+from .braid import BraidWord, Permutation, artin, power
 from .foxcalc import GroupRingElem, raw_trace
 from .freegroup import (
     FreeEndo,
@@ -37,7 +38,6 @@ from .freegroup import (
     abelianize,
     apply,
     concat,
-    endo_power,
     format_word,
     invert,
     word_sort_key,
@@ -341,8 +341,6 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
     The walk only builds orbit words of exactly len(v) letters: no other
     word can equal v, so the first match and its witness are unchanged.
     """
-    if u.rank != ctx.rank or v.rank != ctx.rank:
-        raise ValueError("rank mismatch")
     iu = abelian_invariant(ctx, u)
     iv = abelian_invariant(ctx, v)
     if iu != iv:
@@ -550,9 +548,11 @@ def _check_iterate(m: int) -> None:
 
 
 def _iterate(beta: BraidWord, m: int) -> FreeEndo:
-    """theta: the m-th iterate of the Artin action of beta."""
+    """theta, the m-th iterate of beta's Artin action: artin(beta) under the default cap, so its refusals stand,
+    then for m >= 2 artin(beta^m) uncapped, which is theta because artin is a homomorphism."""
     _check_iterate(m)
-    return endo_power(artin(beta), m)
+    theta = artin(beta)
+    return theta if m == 1 else artin(power(beta, m), sys.maxsize)
 
 
 def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]:

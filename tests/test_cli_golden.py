@@ -1267,11 +1267,24 @@ def test_perm_at_a_huge_iterate_prints_what_its_residue_prints(capsys):
     assert capsys.readouterr() == small
 
 
-def test_is_forced_word_at_a_huge_iterate_is_an_error_not_an_unknown(capsys):
-    # spelling beta^m for the candidate's base asks for more memory than
-    # exists; power raises MemoryError before it allocates, and exit 1
-    # would read as unknown
-    argv = ['is-forced', '-n', '5', '--braid', WORKED, '-m', '1000000000000000002', '--word', 'x1']
+@pytest.mark.parametrize(
+    "command",
+    [
+        ['is-forced', '--word', 'x1'],
+        ['action'],
+        ['trace'],
+        ['forced'],
+        ['degenerate'],
+        ['twisted-conj', '--word', 'x1', '--word', 'x2'],
+        ['is-forced', '--aug', '(s1 ; x1)'],
+    ],
+    ids=['is-forced-word', 'action', 'trace', 'forced', 'degenerate', 'twisted-conj', 'is-forced-aug'],
+)
+def test_an_iterate_command_at_a_huge_m_is_an_error_not_an_unknown(command, capsys):
+    # theta^m is folded from beta^m, whose letters ask for more memory than
+    # exists; power raises MemoryError before it allocates, so no iterate
+    # runs on, and exit 1 would read as unknown
+    argv = [command[0], '-n', '5', '--braid', WORKED, '-m', '1000000000000000002', *command[1:]]
     start = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - start < 5

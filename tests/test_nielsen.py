@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidforce import (
     BraidWord,
@@ -15,6 +15,7 @@ from braidforce import (
     SearchBounds,
     TraceSummand,
     TwistContext,
+    WordTooLongError,
     artin,
     degenerate_families,
     endo_power,
@@ -202,9 +203,11 @@ def test_twisted_conj_construct_then_decide():
 
 
 def test_twisted_conj_rank_mismatch():
+    # abelian_invariant refuses each word of another rank, u first
     ctx = ctx_for(BraidWord(2))
-    with pytest.raises(ValueError):
-        twisted_conj(ctx, gen(3, 1), gen(3, 1))
+    for u, v in ((gen(3, 1), gen(3, 1)), (gen(3, 1), gen(2, 1)), (gen(2, 1), gen(3, 1))):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            twisted_conj(ctx, u, v)
 
 
 def test_abelian_invariant_rank_mismatch():
@@ -954,3 +957,37 @@ def test_families_of_a_theta_that_fixes_a_strand_off_its_conjugacy_class_are_ref
         is_degenerate(ctx, gen(2, 1))
     assert twisted_conj(ctx, gen(2, 1), gen(2, 2)).is_no
     assert twisted_conj(ctx, gen(2, 2), gen(2, 2)).is_yes
+
+
+# ---------------------------------------------------------------------------
+# the iterate theta^m, folded from beta^m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_iterate_is_the_composite_of_the_artin_action(data):
+    # artin is a homomorphism, so the fold of beta^m is theta_1 composed m times
+    n = data.draw(st.integers(2, 5))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=6))))
+    m = data.draw(st.integers(1, 6))
+    try:
+        theta = artin(beta)
+        # theta^m can reach millions of letters at m = 6; the composite is
+        # built letter by letter, so keep draws it can build quickly
+        artin(power(beta, m), 4096)
+    except WordTooLongError:
+        assume(False)
+    assert nielsen._iterate(beta, m) == endo_power(theta, m)
+
+
+def test_iterate_refuses_as_artin_refuses_its_braid():
+    # theta_1 passes the cap at 161 letters; theta^3 is refused with that
+    # message, though beta^3, whose longest image has 481 letters, is folded
+    # without a cap once theta_1 is
+    beta = power(parse_braid("s1", 2), 80)
+    with pytest.raises(WordTooLongError) as refused:
+        artin(beta)
+    with pytest.raises(WordTooLongError) as iterated:
+        nielsen._iterate(beta, 3)
+    assert str(iterated.value) == str(refused.value)

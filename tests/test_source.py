@@ -209,6 +209,20 @@ def test_braid_eq_compares_folded_texts_and_only_artin_and_from_word_decode_them
     assert decoding == {("braid.py", ""), ("braid.py", "artin"), ("augbraid.py", "from_word")}
 
 
+def test_the_pipeline_composes_no_endomorphism():
+    # every Artin image, theta^m's included, is folded by braid._fold:
+    # theta^m is artin(beta^m), so endo_power stays only as public API for
+    # general endomorphisms, named by no package code, and compose has no
+    # caller but endo_power
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("endo_power", "compose"):
+                found.add((path.name, scope, name))
+    assert found == {("freegroup.py", "endo_power", "compose")}
+
+
 def test_all_is_exactly_the_public_names_bound_in_the_package():
     # an import without an export, or an export without an import, fails
     bound = {

@@ -241,6 +241,9 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
     preserving that order; theta images and inverses grow incrementally
     along the search path.  The pairs are exactly those of the unbounded
     walk whose word has min_len to max_len letters, in the same order.
+    That order is what _matches needs: twisted_conj returns the first
+    witness by (length, lex) of alpha.  canonical_rep, which needs only a
+    minimum, walks the orbit its own way (_least).
 
     The word of a leaf alpha * k is theta(alpha) * mid[k] * alpha^-1, where
     mid[k] = theta(x_k) * u * x_k^-1 is built once, after the root word u
@@ -353,44 +356,85 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
 def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
     """Least word, by word_sort_key, in the bounded twisted-conjugacy orbit of w.
 
-    One streamed walk of the orbit (conjugators up to the search radius)
-    keeps the least word seen.  The walk is bounded by len(w): the key
-    orders by length first, so a longer word never beats w, and it is not
-    even built.  Orbit words keep the abelian invariant I, so none sorts
-    below the least word with I, its floor (|I_c| copies of the least
-    strand of each cycle c, signed as I_c, in ascending order; see
-    _floor).  So a w at its floor is returned without a walk, and a walk
-    stops once it reaches the floor, with the full walk's result.  This is
-    a display normal form, not a complete invariant: words of the same
-    class canonicalize consistently only when the search radius reaches
-    the connecting conjugator.
+    The orbit is theta(alpha) * w * alpha^-1 over reduced alpha up to the
+    search radius; _least walks it depth first, growing alpha on its outer
+    letter: the word of x_k * alpha is theta(x_k) * word(alpha) * x_k^-1,
+    so each node holds its own orbit word, built from its parent's alone.
+    One step changes a word's length by at most drop = max_k |theta(x_k)|
+    + 1, so no descendant of a node with s steps left is shorter than its
+    length less s * drop; the key orders by length first, so a subtree
+    whose bound exceeds the best word's length cannot beat it and is
+    skipped.  The result is a minimum over the same set of alpha, so the
+    order of the walk does not matter, and the skipped words are all longer
+    than it.  Orbit words keep the abelian invariant I, so none sorts below
+    the least word with I, its floor (|I_c| copies of the least strand of
+    each cycle c, signed as I_c, in ascending order; see _floor).  So a w at
+    its floor is returned without a walk, and a walk stops once it reaches
+    the floor, with the full walk's result.  This is a display normal form,
+    not a complete invariant: words of the same class canonicalize
+    consistently only when the search radius reaches the connecting
+    conjugator.
 
     The context needs theta's strand permutation for the floor: for a theta
     that has none, this raises ValueError, as twisted_conj and merge do.
     """
     floor = _floor(ctx, abelian_invariant(ctx, w))
-    best = w.letters
-    if best == floor:
+    if w.letters == floor:
         return w
-    # a shorter word wins on length alone; keys are built only to order two
-    # different words of the same length (whose keys differ), the best
-    # word's key at most once
-    best_key = None
-    for _, cand in _orbit(ctx, w, ctx.bounds.radius, 0, len(w)):
-        if len(cand) == len(best) and cand != best:
-            if best_key is None:
-                best_key = _letters_key(best)
-            key = _letters_key(cand)
-            if key > best_key:
+    return _word(ctx.rank, _least(ctx, w.letters, floor))
+
+
+def _least(ctx: TwistContext, u: tuple[int, ...], floor: tuple[int, ...]) -> tuple[int, ...]:
+    """canonical_rep's walk: the least orbit word of u, as raw letters, or floor once the walk reaches it.
+
+    Every word is built at most once, from its parent's: the cancels at its
+    two joins are counted (_cancels) and its length checked against the
+    bound before it is sliced (_splice) or, when nothing can cancel, joined.
+    """
+    timg = ctx.theta._letter_images
+    rows = [(k, timg[k], len(timg[k]), timg[k][-1] if timg[k] else 0) for i in range(1, ctx.rank + 1) for k in (i, -i)]
+    drop = max(r[2] for r in rows) + 1
+    best, best_key = u, None
+    # stack entries: (word, steps left, outer letter of alpha)
+    stack = [(u, ctx.bounds.radius, 0)] if ctx.bounds.radius else []
+    while stack:
+        w, left, outer = stack.pop()
+        left -= 1
+        # a child of more than slack letters, and every descendant of it, is longer than best
+        slack = len(best) + left * drop
+        for k, img, li, last in rows:
+            if k == -outer:
                 continue
-        elif len(cand) < len(best):
-            key = None
-        else:
-            continue
-        best, best_key = cand, key
-        if best == floor:
-            break
-    return _word(ctx.rank, best)
+            # nothing cancels unless theta(x_k) ends in w[0]^-1 or w ends in
+            # x_k; an empty w puts theta(x_k) against x_k^-1, so it is counted
+            if w and last != -w[0] and w[-1] != k:
+                size = li + len(w) + 1
+                if size > slack:
+                    continue
+                cand = img + w + (-k,)
+            else:
+                parts = (img, w, (-k,))
+                cancels = _cancels(*parts)
+                size = li + len(w) + 1 - 2 * sum(cancels)
+                if size > slack:
+                    continue
+                cand = _splice(*parts, cancels)
+            if cand == floor:
+                return cand
+            # a shorter word wins on length alone; keys are built only to
+            # order two different words of the same length (whose keys
+            # differ), the best word's key at most once
+            if size < len(best):
+                best, best_key = cand, None
+            elif size == len(best) and cand != best:
+                if best_key is None:
+                    best_key = _letters_key(best)
+                key = _letters_key(cand)
+                if key < best_key:
+                    best, best_key = cand, key
+            if left:
+                stack.append((cand, left, k))
+    return best
 
 
 # ---------------------------------------------------------------------------

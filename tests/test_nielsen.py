@@ -41,7 +41,7 @@ from braidforce.freegroup import (
 )
 from braidforce import nielsen
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
-from braidforce.freegroup import _reduce_letters
+from braidforce.freegroup import _letters_key, _reduce_letters
 from braidforce.nielsen import _cancels, _floor, _format_pairs, _orbit, _splice
 from oracles import augmentation, conjugator, endo_matrix, gen
 
@@ -227,6 +227,8 @@ def test_canonical_rep():
     assert format_word(canonical_rep(ctx, parse_word("x1", 5))) == "x1"
     ctx_id = ctx_for(BraidWord(2), radius=2)
     assert format_word(canonical_rep(ctx_id, parse_word("x2 x1 x2^-1", 2))) == "x1"
+    # at radius 0 the orbit is w alone, however short its neighbours are
+    assert format_word(canonical_rep(ctx_for(BraidWord(2), radius=0), parse_word("x2 x1 x2^-1", 2))) == "x2 x1 x2^-1"
 
 
 def test_merge_plain_conjugacy():
@@ -516,15 +518,22 @@ def test_twisted_conj_is_symmetric_at_equal_radius(ctx, data):
         assert len(forward.witness) == len(backward.witness)
 
 
-def _orbit_min(ctx, w):
-    """The least word of w's orbit, by brute force over every conjugator within the radius: the reference."""
+def _twists(ctx):
+    """(theta(a), a^-1) as letters, for every reduced word a within the radius; an unreduced a spells a shorter one."""
     pool = [k for i in range(1, ctx.rank + 1) for k in (i, -i)]
-    orbit = {
-        concat(apply(ctx.theta, a), w, invert(a))
+    return [
+        (apply(ctx.theta, a).letters, invert(a).letters)
         for size in range(ctx.bounds.radius + 1)
-        for a in (reduce(ctx.rank, ls) for ls in itertools.product(pool, repeat=size))
-    }
-    return min(orbit, key=word_sort_key)
+        for ls in itertools.product(pool, repeat=size)
+        if all(x != -y for x, y in zip(ls, ls[1:]))
+        for a in (reduce(ctx.rank, ls),)
+    ]
+
+
+def _orbit_min(ctx, w, twists=None):
+    """The least word of w's orbit, by brute force over every conjugator within the radius: the reference."""
+    orbit = {_reduce_letters((t, w.letters, a_inv)) for t, a_inv in (_twists(ctx) if twists is None else twists)}
+    return FreeWord(ctx.rank, min(orbit, key=_letters_key))
 
 
 @settings(max_examples=60, deadline=None)
@@ -588,6 +597,9 @@ def test_canonical_rep_is_least_orbit_word_at_radius_3(ctx, data):
         # least already, above the floor, with larger orbit words of the same length
         ("s1 s2 s3^-1 s4^-1", 5, 1, "x2 x4"),
         ("s1 s2^-1", 3, 2, "x1 x2^-1"),
+        # theta(a) * a^-1: the walk reaches e partway through, and e is the floor
+        ("s1 s2 s3^-1 s4^-1", 5, 1, "x1 x2 x5 x2^-1 x1^-1 x1^-1 x2 x1^-1"),
+        ("s1 s2^-1", 3, 2, "x1 x3 x1^-1 x3^-1 x2^-1 x3 x1 x3^-1"),
     ],
 )
 def test_canonical_rep_fixed_cases_match_brute_force(braid, n, m, w):
@@ -596,13 +608,60 @@ def test_canonical_rep_fixed_cases_match_brute_force(braid, n, m, w):
     assert canonical_rep(ctx, word) == _orbit_min(ctx, word)
 
 
+@st.composite
+def deep_twists(draw):
+    """A context for theta = beta with n = 3 or 4, |beta| <= 4 and radius 4 or 5: deep enough for _least to prune."""
+    n = draw(st.integers(3, 4))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=4))))
+    return ctx_for(beta, radius=draw(st.integers(4, 5)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(deep_twists(), st.data())
+def test_canonical_rep_is_least_orbit_word_at_radius_4_and_5(ctx, data):
+    # a floor word, a twisted conjugate of it or of any word, or any word;
+    # at these radii the walk skips whole subtrees by their length bound
+    floor = FreeWord(ctx.rank, _floor(ctx, abelian_invariant(ctx, data.draw(words(ctx.rank, 4)))))
+    a = data.draw(words(ctx.rank, ctx.bounds.radius))
+    u = data.draw(words(ctx.rank, 4))
+    w = data.draw(
+        st.sampled_from(
+            [floor, concat(apply(ctx.theta, a), floor, invert(a)), concat(apply(ctx.theta, a), u, invert(a)), u]
+        )
+    )
+    assert canonical_rep(ctx, w) == _orbit_min(ctx, w)
+
+
+def test_canonical_rep_of_the_worked_example_at_radius_5():
+    # the forced-cold case whose walks prune most: two of its classes, a word
+    # that improves more than once, one that reaches e partway through, and
+    # words whose least orbit word lies only beneath longer words: the next
+    # four are missed by a walk that keeps no child longer than the best word,
+    # and the last two by one that takes drop as 1
+    ctx = ctx_for(BETA5, radius=5)
+    twists = _twists(ctx)
+    for w in (
+        "x5^-1",
+        "x1 x2 x5 x2^-1 x1^-1",
+        "x5^-1 x5^-1",
+        "x1 x5^-1 x3^-1 x5 x1 x2 x5 x2^-1 x1^-1 x1^-1 x4 x2^-1",
+        "x2 x5",
+        "x2 x5^-1 x5^-1",
+        "x1 x2 x5 x3 x5",
+        "x5^-1 x2^-1 x1^-1 x5",
+    ):
+        word = parse_word(w, 5)
+        assert canonical_rep(ctx, word) == _orbit_min(ctx, word, twists), w
+
+
 def test_floor_words_are_returned_without_a_walk(monkeypatch):
     ctx = ctx_for(BETA5)
 
     def no_walk(*args):
         raise AssertionError("a floor word walked its orbit")
 
-    monkeypatch.setattr(nielsen, "_orbit", no_walk)
+    monkeypatch.setattr(nielsen, "_least", no_walk)
     for w in ("x1", "e"):
         assert format_word(canonical_rep(ctx, parse_word(w, 5))) == w
     with pytest.raises(AssertionError):
@@ -726,8 +785,8 @@ def test_bounded_orbit_fixed_cases(theta, u):
 @pytest.mark.parametrize("radius", [4, 5])
 @pytest.mark.parametrize("u", ["x5^-1", "x1 x2 x5 x2^-1 x1^-1"])
 def test_bounded_orbit_of_the_worked_example_in_short_windows(u, radius):
-    # canonical_rep's walks of the worked example: at radius 4 and 5 fewer
-    # than a dozen orbit words have 3 letters or fewer, so in these windows
+    # the worked example's orbits: at radius 4 and 5 fewer than a dozen
+    # orbit words have 3 letters or fewer, so in these windows
     # the walk skips most leaves by their length bounds, and only leaves
     # that cancel at a join can land in them
     ends = range(4)

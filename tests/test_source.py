@@ -149,7 +149,8 @@ def test_words_and_braids_keep_their_text():
 def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():
     # the cancels where reduced words meet are counted by nielsen._cancels
     # alone: a while loop comparing a letter with a negated letter, and the
-    # walk builds every word by slicing at those counts, not by reducing
+    # walks (_orbit, and canonical_rep's _least) build every word by slicing
+    # at those counts, not by reducing
     path = PACKAGE / "nielsen.py"
     counting, reducing = set(), set()
     for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
@@ -164,6 +165,7 @@ def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():
             reducing.add(scope)
     assert counting == {"_cancels"}
     assert "_orbit" not in reducing
+    assert "_least" not in reducing
 
 
 def test_the_fold_reduces_no_tuples_and_takes_every_crossing_from_one_table():

@@ -3,7 +3,9 @@
 Two words u, v are theta-twisted conjugate when v = theta(a) * u * a^-1 for
 some word a.  The relation is undecidable to bound in general, so decisions
 come in three kinds: Yes with an explicit witness, No with an abelianized
-certificate, or Unknown when a bounded breadth-first search is exhausted.
+certificate, or Unknown when the search over every a up to the radius is
+exhausted: an iterative-deepening depth-first walk that runs backwards from
+v and meets u's 2n mid words one letter from the end (see twisted_conj).
 A braid iterate permutes the generators in homology, so the certificate is
 the exponent sum of each word over each strand cycle of theta.
 
@@ -155,6 +157,16 @@ class TwistContext:
             least.setdefault(top, i)
         return tuple(least.items())
 
+    @functools.cached_property
+    def _back_rows(self) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...], int]:
+        """_witness's step rows (k, theta(x_k)^-1, its last letter or 0), k = x1, x1^-1, x2, ..., and drop.
+
+        drop = max_k |theta(x_k)| + 1 is the most that one step changes a word's length by.
+        """
+        timg = self.theta._letter_images
+        rows = tuple((k, timg[-k], timg[-k][-1] if timg[-k] else 0) for i in range(1, self.rank + 1) for k in (i, -i))
+        return rows, max(len(img) for _, img, _ in rows) + 1
+
 
 # ---------------------------------------------------------------------------
 # abelianized invariant: the exponent sum over each strand cycle
@@ -241,9 +253,9 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
     preserving that order; theta images and inverses grow incrementally
     along the search path.  The pairs are exactly those of the unbounded
     walk whose word has min_len to max_len letters, in the same order.
-    That order is what _matches needs: twisted_conj returns the first
-    witness by (length, lex) of alpha.  canonical_rep, which needs only a
-    minimum, walks the orbit its own way (_least).
+    Its one caller, merge's _classes_hit, collects the set of classes hit,
+    so no answer depends on that order.  twisted_conj and canonical_rep
+    walk the orbit their own ways (_witness, _least).
 
     The word of a leaf alpha * k is theta(alpha) * mid[k] * alpha^-1, where
     mid[k] = theta(x_k) * u * x_k^-1 is built once, after the root word u
@@ -317,40 +329,103 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
                         stack.append((alpha + (k,), img, (-k,) + inv_a))
 
 
-def _matches(ctx: TwistContext, w: FreeWord, targets, min_len: int, max_len: int):
-    """Yield (alpha, word) for each orbit word theta(alpha) * w * alpha^-1 in targets, in walk order.
-
-    The walk is _orbit's at the context's radius, in the length window
-    min_len to max_len, which must hold every target the orbit can reach;
-    each hit is verified by substitution before it is yielded.  alpha is
-    built one letter at a time, never undoing the last one, so it is
-    reduced.
-    """
-    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, min_len, max_len):
-        if cand in targets:
-            a = _word(ctx.rank, alpha)
-            if concat(apply(ctx.theta, a), w, invert(a)).letters != cand:
-                raise AssertionError("twisted conjugacy witness failed verification")
-            yield a, cand
-
-
 def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
-    """Decide whether v = theta(a) * u * a^-1 for some word a.
+    """Decide whether v = theta(a) * u * a^-1 for some reduced word a, |a| <= radius.
 
-    Yes returns the first witness in enumeration order (shortest, then
-    lexicographically first).  No is certified by differing abelianized
-    invariants.  Unknown means the search radius was exhausted.
+    Yes returns the first witness by length, then lexicographically with
+    x_k before x_k^-1; it is verified by substitution.  No is certified by
+    differing abelianized invariants.  Unknown means the search radius was
+    exhausted.
 
-    The walk only builds orbit words of exactly len(v) letters: no other
-    word can equal v, so the first match and its witness are unchanged.
+    _witness walks backwards from v.  Write a = a' * x_k and mid[k] =
+    theta(x_k) * u * x_k^-1.  Then theta(a) * u * a^-1 = v exactly when
+    mid[k] = bw(a') = theta(a')^-1 * v * a', and bw(a' * x_j) =
+    theta(x_j)^-1 * bw(a') * x_j, so each node holds one word, built from
+    its parent's alone.  The 2n mids go into a table {mid: first k}, so
+    the last letter of every a of a given length is found by one lookup at
+    its parent a': a meet in the middle one letter deep.
     """
     iu = abelian_invariant(ctx, u)
     iv = abelian_invariant(ctx, v)
     if iu != iv:
         return Decision("no", None, ("abelian", iu, iv))
-    for witness, _ in _matches(ctx, u, (v.letters,), len(v), len(v)):
-        return Decision("yes", witness)
-    return Decision("unknown", None, ("radius", ctx.bounds.radius))
+    alpha = _witness(ctx, u.letters, v.letters)
+    if alpha is None:
+        return Decision("unknown", None, ("radius", ctx.bounds.radius))
+    return Decision("yes", _verified(ctx, alpha, u, v.letters))
+
+
+def _verified(ctx: TwistContext, alpha: tuple[int, ...], u: FreeWord, v: tuple[int, ...]) -> FreeWord:
+    """The word a of the reduced letters alpha, once theta(a) * u * a^-1 is checked by substitution to spell v."""
+    a = _word(ctx.rank, alpha)
+    if concat(apply(ctx.theta, a), u, invert(a)).letters != v:
+        raise AssertionError("twisted conjugacy witness failed verification")
+    return a
+
+
+def _witness(ctx: TwistContext, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """twisted_conj's walk: the first a by (length, lex) with theta(a) * u * a^-1 = v, as raw letters, or None.
+
+    Iterative deepening over the length of a, with a depth-first walk of
+    its prefix a' that pops a' in lexicographic order; at each leaf-parent
+    a' the first k, in row order, whose mid is bw(a') ends the first a of
+    that length.  That k never undoes a'[-1]: if mid[k] = bw(a') with k =
+    a'[-1]^-1, then a' less its last letter is a witness two letters
+    shorter, which an earlier depth (or u = v) has returned; so a is reduced.
+    A step changes a word's length by at most drop, so a child whose
+    length, give or take drop per step left to its leaf-parent, cannot
+    reach the shortest to the longest mid is skipped: no word below it is
+    in the table.  Every word is built at most once, from its parent's: the
+    cancels at its joins are counted (_cancels) and its length checked
+    before it is sliced (_splice) or, when nothing can cancel, joined.
+    """
+    if u == v:
+        return ()
+    radius = ctx.bounds.radius
+    if not radius:
+        return None
+    timg = ctx.theta._letter_images
+    table: dict[tuple[int, ...], int] = {}
+    for i in range(1, ctx.rank + 1):
+        for k in (i, -i):
+            parts = (timg[k], u, (-k,))
+            table.setdefault(_splice(*parts, _cancels(*parts)), k)
+    lo = min(map(len, table))
+    hi = max(map(len, table))
+    rows, drop = ctx._back_rows
+    for depth in range(1, radius + 1):
+        # stack entries: (a', bw(a'))
+        stack = [((), v)]
+        while stack:
+            alpha, w = stack.pop()
+            if len(alpha) + 1 == depth:
+                k = table.get(w)
+                if k:
+                    return alpha + (k,)
+                continue
+            back = -alpha[-1] if alpha else 0
+            reach = (depth - 2 - len(alpha)) * drop
+            # pushed in reverse to pop in order
+            for j, img, last in reversed(rows):
+                if j == back:
+                    continue
+                # nothing cancels unless theta(x_j)^-1 ends in w[0]^-1 or w
+                # ends in x_j^-1; an empty w puts theta(x_j)^-1 against x_j,
+                # so it is counted
+                if w and last != -w[0] and w[-1] != -j:
+                    size = len(img) + len(w) + 1
+                    if size - reach > hi or size + reach < lo:
+                        continue
+                    child = img + w + (j,)
+                else:
+                    parts = (img, w, (j,))
+                    cancels = _cancels(*parts)
+                    size = len(img) + len(w) + 1 - 2 * sum(cancels)
+                    if size - reach > hi or size + reach < lo:
+                        continue
+                    child = _splice(*parts, cancels)
+                stack.append((alpha + (j,), child))
+    return None
 
 
 def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
@@ -482,10 +557,12 @@ def _classes_hit(ctx: TwistContext, w: FreeWord, bucket: list[_Class], owner: di
     """
     hit: set[_Class] = set()
     sizes = [len(m) for cl in bucket for _, m in cl.members]
-    for _, cand in _matches(ctx, w, owner, min(sizes), max(sizes)):
-        hit.add(owner[cand])
-        if len(hit) == len(bucket):
-            break
+    for alpha, cand in _orbit(ctx, w, ctx.bounds.radius, min(sizes), max(sizes)):
+        if cand in owner:
+            _verified(ctx, alpha, w, cand)
+            hit.add(owner[cand])
+            if len(hit) == len(bucket):
+                break
     return [cl for cl in bucket if cl in hit]
 
 

@@ -6,10 +6,12 @@ budget overrun fails the criterion even if the math checked out.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from braidforce import (
     AugBraid,
@@ -276,7 +278,10 @@ def test_criterion_9_deterministic_output():
         "s1 s2 s3^-1 s4^-1",
         "--json",
     ]
-    runs = [subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)]
+    # the child interpreters import the package from src, as this one may, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)]
     assert runs[0] == runs[1]
     doc = json.loads(runs[0])
     assert [f["tail"] for f in doc["forced"]] == ["x1", "x5^-1", "e"]
@@ -290,6 +295,6 @@ def test_criterion_9_deterministic_output():
         "--braid",
         "s1 s2 s3^-1 s4^-1",
     ]
-    outs = [subprocess.run(trace_cmd, capture_output=True, check=True).stdout for _ in range(2)]
+    outs = [subprocess.run(trace_cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)]
     assert outs[0] == outs[1] == b"+[x1] +[x5^-1] -[e]\n"
     budget(t0, 30, "deterministic output")

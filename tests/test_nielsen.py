@@ -518,16 +518,88 @@ def test_twisted_conj_is_symmetric_at_equal_radius(ctx, data):
         assert len(forward.witness) == len(backward.witness)
 
 
-def _twists(ctx):
-    """(theta(a), a^-1) as letters, for every reduced word a within the radius; an unreduced a spells a shorter one."""
+def _conjugators(ctx):
+    """Every reduced word a within the radius, by length, then lexicographically with x_k before x_k^-1.
+
+    An unreduced a spells a shorter one.
+    """
     pool = [k for i in range(1, ctx.rank + 1) for k in (i, -i)]
     return [
-        (apply(ctx.theta, a).letters, invert(a).letters)
+        FreeWord(ctx.rank, ls)
         for size in range(ctx.bounds.radius + 1)
         for ls in itertools.product(pool, repeat=size)
         if all(x != -y for x, y in zip(ls, ls[1:]))
-        for a in (reduce(ctx.rank, ls),)
     ]
+
+
+def _twists(ctx):
+    """(theta(a), a^-1) as letters, for every reduced word a within the radius."""
+    return [(apply(ctx.theta, a).letters, invert(a).letters) for a in _conjugators(ctx)]
+
+
+def _first_witness(ctx, u, v):
+    """The first a of _conjugators with theta(a) * u * a^-1 = v, or None: the brute-force reference for twisted_conj."""
+    return next((a for a in _conjugators(ctx) if concat(apply(ctx.theta, a), u, invert(a)) == v), None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_twisted_conj_witness_is_the_first_by_brute_force(data):
+    # radius 4 only on up to three strands, so the reference stays small
+    radius = data.draw(st.integers(0, 4))
+    ctx = data.draw(small_twists(max_rank=3 if radius == 4 else 4, radius=radius))
+    u = data.draw(words(ctx.rank, 4))
+    a = data.draw(words(ctx.rank, radius + 1))
+    conjugate = concat(apply(ctx.theta, a), u, invert(a)).letters
+    at = data.draw(st.integers(0, len(conjugate)))
+    extra = data.draw(st.sampled_from([k for i in range(1, ctx.rank + 1) for k in (i, -i)]))
+    one_more = reduce(ctx.rank, conjugate[:at] + (extra,) + conjugate[at:])
+    v = data.draw(st.sampled_from([FreeWord(ctx.rank, conjugate), one_more, data.draw(words(ctx.rank, 6))]))
+    expected = _first_witness(ctx, u, v)
+    # the walk itself, past the abelian certificate; the reference holds
+    # reduced words only, so this also checks that the walk returns one
+    assert nielsen._witness(ctx, u.letters, v.letters) == (None if expected is None else expected.letters)
+    d = twisted_conj(ctx, u, v)
+    if d.is_yes:
+        assert d.witness == expected
+    else:
+        assert expected is None
+        assert d.is_no or d.certificate == ("radius", radius)
+
+
+@pytest.mark.parametrize(
+    "theta, radius, u, v, witness",
+    [
+        # u = v: the empty witness, even at radius 0
+        (FreeEndo.identity(2), 0, "x1 x2", "x1 x2", "e"),
+        (artin(BETA5), 0, "x5^-1", "x5^-1", "e"),
+        # under the identity on F_2 with u = e every mid is e, one entry shared
+        # by all four letters, but no leaf-parent reaches it: bw(a') = e only
+        # when v = e, which u = v answers.  Generally an entry never holds the
+        # letter undoing a'[-1], since a' less that letter would be a shorter
+        # witness; so a commutator, of e's invariant, is unknown
+        (FreeEndo.identity(2), 3, "e", "x1 x2 x1^-1 x2^-1", None),
+        # u = x1 x2: mid[x1^-1] = mid[x2] = x2 x1, so the entry's first letter, x1^-1, is the witness
+        (FreeEndo.identity(2), 1, "x1 x2", "x2 x1", "x1^-1"),
+        # x2 x3 and x2^-1 x3^-1 are both witnesses: the lexicographically first wins
+        (artin(parse_braid("s2", 3)), 2, "x3^-1", "x2 x3^-1 x2^-1", "x2 x3"),
+        (artin(parse_braid("s1", 2)), 3, "x2^-1 x1^-1 x2", "x2^-1", "x2 x1 x2"),
+        # an exhausted radius: same invariant, no conjugator within it
+        (artin(BETA5), 3, "x5^-1", "x1^-1", None),
+        # x2 x2 x1 conjugates x1 x2 to v, and no shorter word does
+        (FreeEndo.identity(2), 2, "x1 x2", "x2 x2 x1 x1 x2 x1^-1 x2^-1 x2^-1", None),
+        (FreeEndo.identity(2), 3, "x1 x2", "x2 x2 x1 x1 x2 x1^-1 x2^-1 x2^-1", "x2 x2 x1"),
+    ],
+)
+def test_twisted_conj_fixed_cases_match_brute_force(theta, radius, u, v, witness):
+    ctx = TwistContext.create(theta, SearchBounds(radius, 6))
+    u, v = parse_word(u, theta.rank), parse_word(v, theta.rank)
+    d = twisted_conj(ctx, u, v)
+    if witness is None:
+        assert d == Decision("unknown", None, ("radius", radius))
+    else:
+        assert d.is_yes and format_word(d.witness) == witness
+    assert d.witness == _first_witness(ctx, u, v)
 
 
 def _orbit_min(ctx, w, twists=None):

@@ -149,11 +149,14 @@ def test_words_and_braids_keep_their_text():
 def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():
     # the cancels where reduced words meet are counted by nielsen._cancels
     # alone: a while loop comparing a letter with a negated letter, and the
-    # walks (_orbit, and canonical_rep's _least) build every word by slicing
-    # at those counts, not by reducing
+    # walks (_orbit, canonical_rep's _least and twisted_conj's _witness)
+    # build every word by slicing at those counts, not by reducing
     path = PACKAGE / "nielsen.py"
-    counting, reducing = set(), set()
+    walks = {"_orbit", "_least", "_witness"}
+    counting, reducing, defined = set(), set(), set()
     for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
         if isinstance(node, ast.While):
             for cmp in ast.walk(node.test):
                 if isinstance(cmp, ast.Compare) and any(
@@ -164,8 +167,8 @@ def test_the_orbit_walk_counts_join_cancels_in_one_place_and_slices_its_words():
         if isinstance(node, ast.Name) and node.id == "_reduce_letters":
             reducing.add(scope)
     assert counting == {"_cancels"}
-    assert "_orbit" not in reducing
-    assert "_least" not in reducing
+    assert walks <= defined
+    assert not walks & reducing
 
 
 def test_the_fold_reduces_no_tuples_and_takes_every_crossing_from_one_table():

@@ -30,6 +30,7 @@ from .braid import (
     BraidWord,
     _braid,
     _fold,
+    _generators,
     _pure_letters,
     braid_eq,
     format_braid,
@@ -133,7 +134,7 @@ def from_word(w: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> AugBraid:
         raise ValueError(f"input word has {len(w.letters)} letters (cap {max_letters})")
     n = w.strands - 1
     base = _delete_last_strand(w)
-    image = tuple(map(_LETTER.__getitem__, _fold(w, [(n + 1,)], max_letters)))
+    image = tuple(map(_LETTER.__getitem__, _fold(w, _generators(w, n + 1), max_letters)))
     conj = _conjugator_of(_word(n + 1, image), n + 1)
     if conj is None:
         raise AssertionError("pure part does not conjugate the last-strand generator")

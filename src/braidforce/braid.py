@@ -25,9 +25,15 @@ x_{i+1} x_{i+1}^-1 for s_i^-1; no other pair cancels and no cancel
 cascades.  Folds are capped: after each crossing, a fold whose
 longest image passes ``max_letters`` raises ``WordTooLongError``.
 
-A fold returns its coded text, decoded only where letters are read: by
-``artin`` into a ``FreeWord`` per image, by ``augbraid.from_word`` for its
-one image.  ``braid_eq`` compares two folds' texts as they are.
+A fold starts from coded text: generator images from ``_generators``,
+which refuses a strand count past the coding, or the text of an earlier
+fold, so ``nielsen._iterate`` folds beta's generators under the cap and
+goes on from that text through beta^(m-1) uncapped, one pass for theta^m.
+It returns coded text, decoded only where letters are read: by ``_endo``
+into a ``FreeEndo``, for ``artin`` and ``nielsen._iterate``, and by
+``augbraid.from_word`` for its one image.  ``braid_eq`` compares two
+folds' texts as they are, and ``_acts_as`` a fold's text with an
+endomorphism's images coded, for ``forcing.is_forced``.
 """
 
 from __future__ import annotations
@@ -71,6 +77,11 @@ class BraidWord:
     @cached_property
     def _text(self) -> str:
         return _format_letters(self.letters, "s")
+
+    @cached_property
+    def _iterates(self) -> dict[int, FreeEndo]:
+        """theta^m by m, kept by nielsen._iterate: it dies with the braid, and a refused iterate is not kept."""
+        return {}
 
 
 def _braid(strands: int, letters: tuple[int, ...]) -> BraidWord:
@@ -153,14 +164,29 @@ def _crossing(letter: int) -> tuple[str, ...]:
 _CROSSINGS = _Memo(_crossing)
 
 
-def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> str:
-    """Fold reduced letter tuples of F_strands through b's crossings, first letter first.
+def _generators(b: BraidWord, first: int = 1) -> str:
+    """The coded text of x_first .. x_n, n = b.strands, that a fold through b starts from.
 
-    The images are coded one character per letter (see the module
-    docstring) and joined into one string, separated by _SEP, which is
-    folded and returned: image j is part j of text.split(_SEP), and _LETTER
-    decodes its characters.  A crossing with table (c, C, d, D, tdT, tDT,
-    Tt) from _crossing is the chain
+    ValueError when n is past the coding (see the module docstring), before
+    any letter is coded.
+    """
+    if b.strands > _MAX_STRANDS:
+        raise ValueError(
+            f"the fold codes each letter as one character, so it takes at most {_MAX_STRANDS} strands, "
+            f"got {b.strands}"
+        )
+    return _SEP.join(map(_CODE.__getitem__, range(first, b.strands + 1)))
+
+
+def _fold(b: BraidWord, text: str, max_letters: int) -> str:
+    """Fold coded reduced images of F_strands through b's crossings, first letter first.
+
+    text holds the images coded one character per letter (see the module
+    docstring) and separated by _SEP, as _generators or an earlier fold
+    through a braid on as many strands left them; it is folded and
+    returned: image j is part j of text.split(_SEP), and _LETTER decodes
+    its characters.  A crossing with table (c, C, d, D, tdT, tDT, Tt) from
+    _crossing is the chain
 
         c -> P, C -> Q, d -> c, D -> C, P -> tdT, Q -> tDT, Tt -> ''
 
@@ -195,13 +221,7 @@ def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> str:
     package's one capped fold: callers pass only the images they read.
     """
     _check_positive(max_letters, "max_letters")
-    if b.strands > _MAX_STRANDS:
-        raise ValueError(
-            f"the fold codes each letter as one character, so it takes at most {_MAX_STRANDS} strands, "
-            f"got {b.strands}"
-        )
-    text = _SEP.join(map(_spell, images))
-    total_cap = max_letters + len(images) - 1  # the separators are not letters
+    total_cap = max_letters + text.count(_SEP)  # the separators are not letters
     for letter in b.letters:
         c, C, d, D, image, image_inv, pair = _CROSSINGS[letter]
         text = (
@@ -218,16 +238,31 @@ def _fold(b: BraidWord, images: list[tuple[int, ...]], max_letters: int) -> str:
     return text
 
 
+def _endo(n: int, text: str) -> FreeEndo:
+    """The endomorphism of F_n whose generator images a fold from _generators left as text: decoded once."""
+    return FreeEndo(n, tuple(_word(n, tuple(map(_LETTER.__getitem__, part))) for part in text.split(_SEP)))
+
+
 def artin(b: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> FreeEndo:
     """The Artin automorphism of F_strands induced by the braid word.
 
     Every generator image is folded by _fold, which aborts once any image
     exceeds max_letters; raise the cap explicitly for long but tame words.
-    The folded text is decoded into words once, at the end.
+    The folded text is decoded into words once, at the end, by _endo.
     """
-    n = b.strands
-    text = _fold(b, [(k,) for k in range(1, n + 1)], max_letters)
-    return FreeEndo(n, tuple(_word(n, tuple(map(_LETTER.__getitem__, part))) for part in text.split(_SEP)))
+    return _endo(b.strands, _fold(b, _generators(b), max_letters))
+
+
+def _acts_as(b: BraidWord, theta: FreeEndo) -> bool:
+    """Whether theta, an endomorphism of F_strands, is the Artin action of b.
+
+    b's generators are folded under the default cap, so a long fold is
+    refused as artin(b) would refuse it, and the text is compared with
+    theta's images coded: one character codes one letter, so the texts are
+    equal exactly when artin(b) == theta, and no word is built.
+    """
+    text = _fold(b, _generators(b), DEFAULT_MAX_LETTERS)
+    return text == _SEP.join(_spell(w.letters) for w in theta.images)
 
 
 def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTERS) -> bool:
@@ -243,7 +278,7 @@ def braid_eq(b1: BraidWord, b2: BraidWord, max_letters: int = DEFAULT_MAX_LETTER
     _check_positive(max_letters, "max_letters")
     if b1.letters == b2.letters:
         return True
-    gens = [(k,) for k in range(1, b1.strands + 1)]
+    gens = _generators(b1)
     return _fold(b1, gens, max_letters) == _fold(b2, gens, max_letters)
 
 

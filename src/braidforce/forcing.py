@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .augbraid import AugBraid, _to_word_text
-from .braid import BraidWord, artin, format_braid, power
+from .braid import BraidWord, _acts_as, format_braid, power
 from .freegroup import FreeWord, format_word
 from .nielsen import (
     Decision,
@@ -102,10 +102,12 @@ def is_forced(
     """Decide whether the candidate is one of the braids forced by beta^m.
 
     The base must equal beta^m as a braid: its Artin action must be theta,
-    the m-th iterate of beta's, which is folded once and then also feeds
-    the pipeline.  A base spelling beta's letters m times over is the word
-    power(beta, m) builds, and artin is a homomorphism, so it acts by theta
-    and is not folded; any other base is folded under the cap.  The tail is
+    the m-th iterate of beta's, which beta keeps once folded and which
+    also feeds the pipeline.  A base spelling beta's letters m times over
+    is the word power(beta, m) builds, and artin is a homomorphism, so it
+    acts by theta and is not folded; any other base is folded under the
+    cap and its text compared with theta's coded images, so no
+    endomorphism is built for it.  The tail is
     then matched against the essential class representatives.  Hitting a
     degenerate class is a definite No, while exhausted searches or
     unresolved class splits give Unknown.
@@ -113,7 +115,7 @@ def is_forced(
     if candidate.punctures != beta.strands:
         raise ValueError("puncture count mismatch")
     theta = _iterate(beta, m)
-    if candidate.base.letters != beta.letters * m and artin(candidate.base) != theta:
+    if candidate.base.letters != beta.letters * m and not _acts_as(candidate.base, theta):
         return Decision("no", None, ("base_mismatch",))
     ctx, trace = _analyse(theta, bounds)
     saw_unknown = bool(trace.unresolved)

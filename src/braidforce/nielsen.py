@@ -28,7 +28,7 @@ import functools
 import sys
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation, artin, power
+from .braid import DEFAULT_MAX_LETTERS, BraidWord, Permutation, _endo, _fold, _generators, power
 from .foxcalc import GroupRingElem, raw_trace
 from .freegroup import (
     FreeEndo,
@@ -669,11 +669,23 @@ def _check_iterate(m: int) -> None:
 
 
 def _iterate(beta: BraidWord, m: int) -> FreeEndo:
-    """theta, the m-th iterate of beta's Artin action: artin(beta) under the default cap, so its refusals stand,
-    then for m >= 2 artin(beta^m) uncapped, which is theta because artin is a homomorphism."""
+    """theta, the m-th iterate of beta's Artin action, folded in one pass and kept on beta.
+
+    beta's generators are folded under the default cap, so every refusal of
+    artin(beta) stands, and the fold goes on from that text through
+    beta^(m-1) uncapped.  artin is a homomorphism and the fold's text is
+    the reduced image, so that is the text of a fold of beta^m; it is
+    decoded once.  theta is kept in beta._iterates, which only this
+    function reads or fills: it dies with beta, and a refusal keeps
+    nothing, so it is raised again on every call.
+    """
     _check_iterate(m)
-    theta = artin(beta)
-    return theta if m == 1 else artin(power(beta, m), sys.maxsize)
+    theta = beta._iterates.get(m)
+    if theta is None:
+        text = _fold(beta, _generators(beta), DEFAULT_MAX_LETTERS)
+        text = _fold(power(beta, m - 1), text, sys.maxsize)
+        theta = beta._iterates[m] = _endo(beta.strands, text)
+    return theta
 
 
 def degenerate_families(beta: BraidWord, m: int) -> tuple[DegenerateFamily, ...]:

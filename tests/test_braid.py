@@ -18,7 +18,7 @@ from braidforce import (
     power,
 )
 from braidforce.freegroup import FreeEndo, compose
-from braidforce.braid import DEFAULT_MAX_LETTERS, _LETTER, _MAX_STRANDS, _SEP, _fold
+from braidforce.braid import DEFAULT_MAX_LETTERS, _LETTER, _MAX_STRANDS, _SEP, _fold, _generators, _spell
 from oracles import artin_apply, braid_invert, braid_mul, fixes_last_strand, gen, letter_endo, pure_gen, tuple_fold
 
 
@@ -333,9 +333,14 @@ def folds(draw):
     return b, images
 
 
+def _coded(images):
+    """Reduced letter tuples coded as the text _fold starts from."""
+    return _SEP.join(map(_spell, images))
+
+
 def _decoded_fold(b, images, max_letters):
     """_fold's text split into its images, each decoded into letters."""
-    return [tuple(map(_LETTER.__getitem__, part)) for part in _fold(b, images, max_letters).split(_SEP)]
+    return [tuple(map(_LETTER.__getitem__, part)) for part in _fold(b, _coded(images), max_letters).split(_SEP)]
 
 
 @given(folds(), st.one_of(st.integers(1, 40), st.just(DEFAULT_MAX_LETTERS)))
@@ -383,11 +388,14 @@ def test_string_fold_at_the_top_of_the_coding_is_the_shifted_small_fold(seed):
 
 
 def test_fold_refuses_a_strand_count_past_the_coding():
-    b = BraidWord(_MAX_STRANDS + 1, (1, 1))
-    with pytest.raises(ValueError, match=f"at most {_MAX_STRANDS} strands, got {_MAX_STRANDS + 1}"):
-        _fold(b, [(1,)], DEFAULT_MAX_LETTERS)
-    with pytest.raises(ValueError, match=f"at most {_MAX_STRANDS} strands"):
-        from_word(b)
+    # the strand count is checked before any letter is coded, so a fold
+    # never asks for a code past sys.maxunicode
+    for n in (_MAX_STRANDS + 1, _MAX_STRANDS + 2):
+        b = BraidWord(n, (1, 1))
+        message = f"at most {_MAX_STRANDS} strands, got {n}"
+        for call in (_generators, artin, from_word, lambda b: braid_eq(b, BraidWord(n, (1, -1, 1)))):
+            with pytest.raises(ValueError, match=message):
+                call(b)
 
 
 @pytest.mark.parametrize("cap", [True, False, 0, -1, 2.5, 128.0, "5", None])
@@ -414,4 +422,4 @@ def test_the_cap_reads_the_longest_image_not_the_total():
     with pytest.raises(WordTooLongError, match=message):
         artin(b, max_letters=2)
     with pytest.raises(WordTooLongError, match=message):
-        _fold(b, [(2,), (1,)], 2)
+        _fold(b, _coded([(2,), (1,)]), 2)

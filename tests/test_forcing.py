@@ -5,12 +5,15 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidforce import (
     AugBraid,
     BraidWord,
+    Decision,
     FreeWord,
     SearchBounds,
+    WordTooLongError,
     artin,
     braid_eq,
     degenerate_families,
@@ -22,6 +25,7 @@ from braidforce import (
     merge,
     parse_braid,
     parse_word,
+    power,
     reidemeister_trace,
     to_word,
 )
@@ -140,6 +144,58 @@ def test_is_forced_base_mismatch():
     assert d.certificate == ("base_mismatch",)
 
 
+@st.composite
+def candidate_bases(draw):
+    """beta, m and a base other than the word beta^m: equal to it rewritten, one sign flipped, or equal past the cap."""
+    n = draw(st.integers(2, 5))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))))
+    m = draw(st.integers(1, 3))
+    letters = beta.letters * m
+    p = draw(st.integers(0, len(letters) - 1))
+    i = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["rewritten", "flipped", "past the cap"]))
+    if kind == "rewritten":
+        # a letter and its inverse, or for three strands and more the
+        # relator s_i s_j s_i (s_j s_i s_j)^-1 with j = i +- 1
+        j = i + 1 if i < n - 1 else i - 1
+        relator = (i, j, i, -j, -i, -j) if n > 2 else (i, -i)
+        letters = letters[:p] + relator + letters[p:]
+    elif kind == "flipped":
+        # the exponent sum moves by 2, so the braid is never beta^m
+        letters = letters[:p] + (-letters[p],) + letters[p + 1 :]
+    else:
+        # s_i^2 conjugates x_i and x_{i+1} by x_i x_{i+1}, whose image is
+        # never trivial, so s_i^200 passes the cap whatever images it acts on
+        letters = letters[:p] + (i,) * 200 + (-i,) * 200 + letters[p:]
+    return beta, m, kind, BraidWord(n, letters)
+
+
+def _refusal_or(call):
+    try:
+        return call()
+    except WordTooLongError as exc:
+        return ("refused", str(exc))
+
+
+@given(candidate_bases())
+def test_is_forced_checks_a_base_as_artin_did(drawn):
+    # the base's folded text against theta's coded images gives the verdict
+    # of artin(base) == theta, and the same refusal at the same crossing
+    beta, m, kind, base = drawn
+    theta = nielsen._iterate(beta, m)
+    old = _refusal_or(lambda: artin(base) == theta)
+    if old in (True, False):  # beta^m itself can pass the cap
+        assert kind != "past the cap" and old == (kind == "rewritten")
+    d = _refusal_or(lambda: is_forced(AugBraid(base, FreeWord(beta.strands)), beta, m, SearchBounds(radius=0)))
+    if old is True:
+        assert d.certificate != ("base_mismatch",)
+    elif old is False:
+        assert d == Decision("no", None, ("base_mismatch",))
+    else:
+        assert d == old
+
+
 def _count_calls(monkeypatch, fns):
     """Count calls of fns through every braidforce namespace that binds them.
 
@@ -159,12 +215,6 @@ def _count_calls(monkeypatch, fns):
                 if value is fn:
                     monkeypatch.setattr(m, name, counted)
     return counts
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Calls of artin, braid_eq and merge, counted by _count_calls."""
-    return _count_calls(monkeypatch, (artin, braid_eq, merge))
 
 
 @pytest.fixture
@@ -190,20 +240,32 @@ def test_from_word_folds_only_what_it_compares(fold_calls):
     assert braid_eq(back.base, BETA5)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of braid._fold and merge, counted by _count_calls."""
+    return _count_calls(monkeypatch, (_fold, merge))
+
+
 def test_is_forced_folds_only_a_base_other_than_the_word_beta_m(calls):
-    # the base spells beta^m letter for letter: only beta is folded
-    assert is_forced(AugBraid(BETA5, parse_word("x1", 5)), BETA5, 1).is_yes
-    assert calls == {"artin": 1, "merge": 1}
+    # a fresh beta keeps no iterate yet
+    beta, m, bounds, tail = BraidWord(5, BETA5.letters), 2, SearchBounds(radius=2), parse_word("x1", 5)
+    # the base spells beta^m letter for letter, so it is never folded: the
+    # two folds are theta^2 in one pass, beta's generators and then on
+    # through beta
+    spelled = is_forced(AugBraid(power(beta, m), tail), beta, m, bounds)
+    assert calls == {"_fold": 2, "merge": 1}
     calls.clear()
-    # an equal base spelled differently is folded and compared with theta;
-    # the pipeline of that theta and bounds is cached, so nothing merges
-    rewritten = BraidWord(5, (-2, 1, 2, 1) + BETA5.letters[2:])
-    assert is_forced(AugBraid(rewritten, parse_word("x1", 5)), BETA5, 1).is_yes
-    assert calls == {"artin": 2}
+    # an equal base spelled differently is folded once and compared with
+    # theta, which beta keeps, as is the pipeline of that theta and bounds,
+    # so nothing else is folded and nothing merges
+    rewritten = BraidWord(5, (-2, 1, 2, 1) + BETA5.letters[2:] + BETA5.letters)
+    assert is_forced(AugBraid(rewritten, tail), beta, m, bounds) == spelled
+    assert calls == {"_fold": 1}
     calls.clear()
     # a base that does not match is refused before the trace is merged
-    assert is_forced(AugBraid(braid_mul(BETA5, BETA5), parse_word("x1", 5)), BETA5, 1).is_no
-    assert calls == {"artin": 2}
+    d = is_forced(AugBraid(power(beta, m + 1), tail), beta, m, bounds)
+    assert d.certificate == ("base_mismatch",)
+    assert calls == {"_fold": 1}
 
 
 _CACHE_ANCHORS = [

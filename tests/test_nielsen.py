@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -40,6 +41,7 @@ from braidforce.freegroup import (
     word_sort_key,
 )
 from braidforce import nielsen
+from braidforce.braid import _SEP, _fold, _generators, _spell
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _letters_key, _reduce_letters
 from braidforce.nielsen import _cancels, _floor, _format_pairs, _orbit, _splice
@@ -1115,10 +1117,43 @@ def test_iterate_is_the_composite_of_the_artin_action(data):
 def test_iterate_refuses_as_artin_refuses_its_braid():
     # theta_1 passes the cap at 161 letters; theta^3 is refused with that
     # message, though beta^3, whose longest image has 481 letters, is folded
-    # without a cap once theta_1 is
+    # without a cap once theta_1 is, and an m too large to spell beta^(m-1)
+    # is refused before it is spelled; a refusal is kept nowhere, so each
+    # call is refused again
     beta = power(parse_braid("s1", 2), 80)
     with pytest.raises(WordTooLongError) as refused:
         artin(beta)
-    with pytest.raises(WordTooLongError) as iterated:
-        nielsen._iterate(beta, 3)
-    assert str(iterated.value) == str(refused.value)
+    for m in (1, 3, 1, 3, 10**18 + 2):
+        with pytest.raises(WordTooLongError) as iterated:
+            nielsen._iterate(beta, m)
+        assert str(iterated.value) == str(refused.value)
+    assert beta._iterates == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_one_pass_iterate_is_the_fold_of_beta_m_byte_for_byte(data):
+    # beta's generators under the cap, then on through beta^(m-1) uncapped:
+    # theta's images, coded, are the text of one uncapped fold of beta^m
+    n = data.draw(st.integers(2, 6))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(data.draw(st.lists(st.sampled_from(pool), max_size=6))))
+    m = data.draw(st.integers(1, 5))
+    try:
+        theta = nielsen._iterate(beta, m)
+    except WordTooLongError:
+        assume(False)
+    text = _fold(power(beta, m), _generators(beta), sys.maxsize)
+    assert _SEP.join(_spell(w.letters) for w in theta.images) == text
+    assert theta == artin(power(beta, m), sys.maxsize)
+
+
+def test_a_braid_keeps_its_iterates():
+    beta = parse_braid("s1 s2^-1", 3)
+    theta = nielsen._iterate(beta, 3)
+    assert nielsen._iterate(beta, 3) is theta
+    assert beta._iterates == {3: theta}
+    # the memo is the braid's own: an equal braid folds its own, equal theta
+    fresh = parse_braid("s1 s2^-1", 3)
+    assert fresh._iterates == {}
+    assert nielsen._iterate(fresh, 3) == theta

@@ -200,18 +200,31 @@ def test_the_fold_reduces_no_tuples_and_takes_every_crossing_from_one_table():
 
 
 def test_braid_eq_compares_folded_texts_and_only_artin_and_from_word_decode_them():
-    # braid_eq compares two folds' coded texts, so it builds no FreeEndo and
-    # calls no artin; _LETTER, the decode table, is read where it is made
-    # and where letters leave the fold: artin's images and from_word's image
+    # braid_eq compares two folds' coded texts, and is_forced a rewritten
+    # base's fold with theta's coded images, so neither builds a FreeEndo or
+    # calls artin; _LETTER, the decode table, is read where it is made and
+    # where letters leave the fold: _endo's images, for artin and the
+    # iterate, and from_word's image
     building, decoding = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and node.id in ("artin", "FreeEndo") and scope == "braid_eq":
-                building.add(node.id)
+            if isinstance(node, ast.Name) and node.id in ("artin", "FreeEndo") and scope in ("braid_eq", "is_forced"):
+                building.add((scope, node.id))
             if isinstance(node, ast.Name) and node.id == "_LETTER":
                 decoding.add((path.name, scope))
     assert building == set()
-    assert decoding == {("braid.py", ""), ("braid.py", "artin"), ("augbraid.py", "from_word")}
+    assert decoding == {("braid.py", ""), ("braid.py", "_endo"), ("augbraid.py", "from_word")}
+
+
+def test_only_the_iterate_touches_a_braids_kept_iterates():
+    # nielsen._iterate alone reads and fills BraidWord._iterates, so every
+    # kept theta was folded by it, and a refusal keeps nothing
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_iterates":
+                found.add((path.name, scope))
+    assert found == {("nielsen.py", "_iterate")}
 
 
 def test_the_pipeline_composes_no_endomorphism():

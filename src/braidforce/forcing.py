@@ -23,7 +23,6 @@ from .nielsen import (
     _iterate,
     abelian_invariant,
     format_trace,
-    is_degenerate,
     twisted_conj,
 )
 
@@ -70,15 +69,16 @@ def forced_set(
     """
     if type(boundary_fixed) is not bool or type(permissive) is not bool:
         raise ValueError(f"flags must be bools, got boundary_fixed={boundary_fixed!r}, permissive={permissive!r}")
-    ctx, trace = _analyse(_iterate(beta, m), bounds)
+    pipeline = _analyse(_iterate(beta, m), bounds)
+    ctx, trace = pipeline.ctx, pipeline.trace
     base = power(beta, m)
     identity = FreeWord(beta.strands)
 
     classes: list[ClassReport] = []
     forced: list[AugBraid] = []
     exact = not trace.unresolved
-    for s in trace.summands:
-        deg = is_degenerate(ctx, s.representative)
+    for i, s in enumerate(trace.summands):
+        deg = pipeline.degeneracy(i)
         bd = twisted_conj(ctx, identity, s.representative) if boundary_fixed else None
         classes.append(
             ClassReport(s.coefficient, s.representative, deg, abelian_invariant(ctx, s.representative), bd)
@@ -111,27 +111,32 @@ def is_forced(
     then matched against the essential class representatives.  Hitting a
     degenerate class is a definite No, while exhausted searches or
     unresolved class splits give Unknown.
+
+    Only the classes whose abelian invariant is the tail's are searched, in
+    summand order, from the pipeline's bucket: twisted_conj certifies every
+    other class distinct, a No that the loop would pass over.  A class's
+    unresolved flag and degeneracy are read from the pipeline too, so a
+    repeated query decides neither again.
     """
     if candidate.punctures != beta.strands:
         raise ValueError("puncture count mismatch")
     theta = _iterate(beta, m)
     if candidate.base.letters != beta.letters * m and not _acts_as(candidate.base, theta):
         return Decision("no", None, ("base_mismatch",))
-    ctx, trace = _analyse(theta, bounds)
+    pipeline = _analyse(theta, bounds)
+    ctx, trace = pipeline.ctx, pipeline.trace
     saw_unknown = bool(trace.unresolved)
-    for s in trace.summands:
+    for i in pipeline.buckets.get(abelian_invariant(ctx, candidate.tail), ()):
+        s = trace.summands[i]
         d = twisted_conj(ctx, s.representative, candidate.tail)
         if d.is_unknown:
             saw_unknown = True
             continue
         if d.is_no:
             continue
-        # the first yes ends the call, so the unresolved words are hashed
-        # at most once, and only on a yes
-        fuzzy = {w for pair in trace.unresolved for w in pair}
-        if any(member in fuzzy for member in s.members):
+        if pipeline.in_unresolved[i]:
             return Decision("unknown", None, ("unresolved_class", s.representative))
-        deg = is_degenerate(ctx, s.representative)
+        deg = pipeline.degeneracy(i)
         if deg.is_yes:
             return Decision("no", None, ("degenerate_class", s.representative))
         if deg.is_unknown:

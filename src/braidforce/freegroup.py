@@ -9,7 +9,7 @@ Validation happens at the boundary.  The public constructors (``FreeWord``,
 ``reduce``, ``parse_word``) check the rank, every letter and every adjacent
 pair.  Words derived inside the package from already-checked words
 of the same rank, by operations that keep the letters in range and freely
-reduced (``concat``, ``invert``, ``apply``, ``_conjugator_of``, the
+reduced (``concat``, ``apply``, ``_conjugator_of``, the
 Artin images, Fox prefixes, orbit witnesses), are built unchecked through
 the private ``_word``.
 
@@ -147,10 +147,6 @@ def concat(*words: FreeWord) -> FreeWord:
         if w.rank != rank:
             raise ValueError(f"rank mismatch: {w.rank} != {rank}")
     return _word(rank, _reduce_letters(w.letters for w in words))
-
-
-def invert(w: FreeWord) -> FreeWord:
-    return _word(w.rank, tuple(-k for k in reversed(w.letters)))
 
 
 def _conjugator_of(w: FreeWord, k: int) -> FreeWord | None:

@@ -36,12 +36,11 @@ from .freegroup import (
     _conjugator_of,
     _is_int,
     _letters_key,
+    _reduce_letters,
     _word,
     abelianize,
-    apply,
     concat,
     format_word,
-    invert,
     word_sort_key,
 )
 
@@ -167,6 +166,16 @@ class TwistContext:
         rows = tuple((k, timg[-k], timg[-k][-1] if timg[-k] else 0) for i in range(1, self.rank + 1) for k in (i, -i))
         return rows, max(len(img) for _, img, _ in rows) + 1
 
+    @functools.cached_property
+    def _out_rows(self) -> tuple[tuple[tuple[int, tuple[int, ...], int, int], ...], int]:
+        """_least's step rows (k, theta(x_k), its length, its last letter or 0), k = x1, x1^-1, x2, ..., and drop.
+
+        drop is _back_rows' drop: the inverse images have the same lengths.
+        """
+        timg = self.theta._letter_images
+        rows = tuple((k, timg[k], len(timg[k]), timg[k][-1] if timg[k] else 0) for i in range(1, self.rank + 1) for k in (i, -i))
+        return rows, max(r[2] for r in rows) + 1
+
 
 # ---------------------------------------------------------------------------
 # abelianized invariant: the exponent sum over each strand cycle
@@ -245,6 +254,28 @@ def _splice(a: tuple[int, ...], b: tuple[int, ...], c: tuple[int, ...], cancels:
     return a[: len(a) - i - h] + b[i : len(b) - j] + c[j + h :]
 
 
+def _mids(ctx: TwistContext, u: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(k, theta(x_k) * u * x_k^-1) for k = x1, x1^-1, x2, ..., as raw letters: u's orbit words at |alpha| = 1.
+
+    Nothing cancels unless theta(x_k) ends in u[0]^-1 or u ends in x_k:
+    when neither holds the three parts are joined as they are, and
+    otherwise, or when the image or u is empty, the cancels are counted
+    (_cancels) and the parts sliced there (_splice).
+    """
+    timg = ctx.theta._letter_images
+    head, tail = (-u[0], u[-1]) if u else (0, 0)
+    mids = []
+    for i in range(1, ctx.rank + 1):
+        for k in (i, -i):
+            img = timg[k]
+            if u and img and img[-1] != head and tail != k:
+                mids.append((k, img + u + (-k,)))
+            else:
+                parts = (img, u, (-k,))
+                mids.append((k, _splice(*parts, _cancels(*parts))))
+    return mids
+
+
 def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: int):
     """Yield (alpha, theta(alpha) * u * alpha^-1) as raw letter tuples, words of min_len to max_len letters.
 
@@ -258,13 +289,14 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
     walk the orbit their own ways (_witness, _least).
 
     The word of a leaf alpha * k is theta(alpha) * mid[k] * alpha^-1, where
-    mid[k] = theta(x_k) * u * x_k^-1 is built once, after the root word u
-    is yielded and only when radius >= 1, into a row (k, mid[k], its length,
-    first and last letter).  A leaf word's length is known before it is
-    built: the sum of its three parts when nothing cancels at their joins,
-    else that sum less the cancels counted there (_cancels).  Only a word
-    inside the window is built, by slicing its parts where they cancel
-    (_splice); so are mid[k] and each child's theta(alpha * k).
+    mid[k] = theta(x_k) * u * x_k^-1 is built once (_mids), after the root
+    word u is yielded and only when radius >= 1, into a row (k, mid[k], its
+    length, first and last letter).  A leaf word's length is known before
+    it is built: the sum of its three parts when nothing cancels at their
+    joins, else that sum less the cancels counted there (_cancels).  Only a
+    word inside the window is built, by slicing its parts where they cancel
+    (_splice); so are each child's theta(alpha * k) and, where something can
+    cancel, mid[k].
 
     A leaf word has at most that sum of letters and, by the triangle
     inequality of the word metric, at least len(theta(alpha)) - len(mid[k])
@@ -280,11 +312,7 @@ def _orbit(ctx: TwistContext, u: FreeWord, radius: int, min_len: int, max_len: i
         yield (), u_letters
     if not radius:
         return
-    rows = []
-    for k in letters:
-        parts = (timg[k], u_letters, (-k,))
-        m = _splice(*parts, _cancels(*parts))
-        rows.append((k, m, len(m), m[0] if m else 0, m[-1] if m else 0))
+    rows = [(k, m, len(m), m[0] if m else 0, m[-1] if m else 0) for k, m in _mids(ctx, u_letters)]
     for depth in range(1, radius + 1):
         # stack entries: (alpha, theta(alpha), alpha^-1)
         stack = [((), (), ())]
@@ -356,11 +384,15 @@ def twisted_conj(ctx: TwistContext, u: FreeWord, v: FreeWord) -> Decision:
 
 
 def _verified(ctx: TwistContext, alpha: tuple[int, ...], u: FreeWord, v: tuple[int, ...]) -> FreeWord:
-    """The word a of the reduced letters alpha, once theta(a) * u * a^-1 is checked by substitution to spell v."""
-    a = _word(ctx.rank, alpha)
-    if concat(apply(ctx.theta, a), u, invert(a)).letters != v:
+    """The word a of the reduced letters alpha, once theta(a) * u * a^-1 is checked by substitution to spell v.
+
+    theta's image of each letter of alpha, then u, then alpha inverted are
+    freely reduced in one pass, with none of the walks' cancel counts.
+    """
+    timg = ctx.theta._letter_images
+    if _reduce_letters([*map(timg.__getitem__, alpha), u.letters, tuple(-k for k in reversed(alpha))]) != v:
         raise AssertionError("twisted conjugacy witness failed verification")
-    return a
+    return _word(ctx.rank, alpha)
 
 
 def _witness(ctx: TwistContext, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -384,12 +416,9 @@ def _witness(ctx: TwistContext, u: tuple[int, ...], v: tuple[int, ...]) -> tuple
     radius = ctx.bounds.radius
     if not radius:
         return None
-    timg = ctx.theta._letter_images
     table: dict[tuple[int, ...], int] = {}
-    for i in range(1, ctx.rank + 1):
-        for k in (i, -i):
-            parts = (timg[k], u, (-k,))
-            table.setdefault(_splice(*parts, _cancels(*parts)), k)
+    for k, mid in _mids(ctx, u):
+        table.setdefault(mid, k)
     lo = min(map(len, table))
     hi = max(map(len, table))
     rows, drop = ctx._back_rows
@@ -456,7 +485,10 @@ def canonical_rep(ctx: TwistContext, w: FreeWord) -> FreeWord:
     floor = _floor(ctx, abelian_invariant(ctx, w))
     if w.letters == floor:
         return w
-    return _word(ctx.rank, _least(ctx, w.letters, floor))
+    least = _least(ctx, w.letters, floor)
+    # _least hands back the very tuple it was given when no orbit word beats
+    # it, and then w itself, whose text may already be formatted, is the result
+    return w if least is w.letters else _word(ctx.rank, least)
 
 
 def _least(ctx: TwistContext, u: tuple[int, ...], floor: tuple[int, ...]) -> tuple[int, ...]:
@@ -465,10 +497,9 @@ def _least(ctx: TwistContext, u: tuple[int, ...], floor: tuple[int, ...]) -> tup
     Every word is built at most once, from its parent's: the cancels at its
     two joins are counted (_cancels) and its length checked against the
     bound before it is sliced (_splice) or, when nothing can cancel, joined.
+    The step rows and drop are the context's, built once (_out_rows).
     """
-    timg = ctx.theta._letter_images
-    rows = [(k, timg[k], len(timg[k]), timg[k][-1] if timg[k] else 0) for i in range(1, ctx.rank + 1) for k in (i, -i)]
-    drop = max(r[2] for r in rows) + 1
+    rows, drop = ctx._out_rows
     best, best_key = u, None
     # stack entries: (word, steps left, outer letter of alpha)
     stack = [(u, ctx.bounds.radius, 0)] if ctx.bounds.radius else []
@@ -734,23 +765,62 @@ def is_degenerate(ctx: TwistContext, gamma: FreeWord) -> Decision:
 # merge by twisted conjugacy
 
 
+class _Pipeline:
+    """One pipeline of _analyse: the context of theta, its merged trace, and an index of the trace's classes.
+
+    The index is filled lazily, each part on its first read, and lives only
+    as long as _analyse's cache entry:
+    - buckets maps an abelian invariant to the positions of the summands
+      whose representatives have it, in summand order;
+    - in_unresolved tells, for each summand, whether one of its members is
+      in an unresolved pair;
+    - degeneracy(i) is is_degenerate of summand i's representative,
+      decided on the first call and then kept: the one place a class's
+      degeneracy is decided.
+    """
+
+    def __init__(self, ctx: TwistContext, trace: MergedTrace) -> None:
+        self.ctx = ctx
+        self.trace = trace
+        self._degeneracies: dict[int, Decision] = {}
+
+    def degeneracy(self, i: int) -> Decision:
+        deg = self._degeneracies.get(i)
+        if deg is None:
+            deg = self._degeneracies[i] = is_degenerate(self.ctx, self.trace.summands[i].representative)
+        return deg
+
+    @functools.cached_property
+    def buckets(self) -> dict[tuple[int, ...], list[int]]:
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for i, s in enumerate(self.trace.summands):
+            buckets.setdefault(abelian_invariant(self.ctx, s.representative), []).append(i)
+        return buckets
+
+    @functools.cached_property
+    def in_unresolved(self) -> tuple[bool, ...]:
+        fuzzy = {w for pair in self.trace.unresolved for w in pair}
+        return tuple(any(member in fuzzy for member in s.members) for s in self.trace.summands)
+
+
 @functools.lru_cache(maxsize=128)
-def _analyse(theta: FreeEndo, bounds: SearchBounds) -> tuple[TwistContext, MergedTrace]:
-    """The forcing pipeline after the Artin action: the context of theta and its merged trace.
+def _analyse(theta: FreeEndo, bounds: SearchBounds) -> _Pipeline:
+    """The forcing pipeline after the Artin action: the context of theta, its merged trace and their class index.
 
     theta is the iterate _iterate(beta, m), which its caller has already
     folded: is_forced also compares it with the candidate's base.
 
-    The pair is cached per equal (theta, bounds), for the 128 most recently
-    used, so a repeated query runs no Fox trace, merge or orbit walk.  Both
-    objects are immutable except the context's invariant memo, which also
-    keeps each distinct word later asked about in that context, such as an
-    is_forced tail.
+    The pipeline is cached per equal (theta, bounds), for the 128 most
+    recently used, so a repeated query runs no Fox trace, merge or orbit
+    walk.  The context and trace are immutable except the context's
+    invariant memo, which also keeps each distinct word later asked about
+    in that context, such as an is_forced tail; the class index is filled
+    as queries read it (see _Pipeline).
     """
     ctx = TwistContext.create(theta, bounds)
-    return ctx, merge(ctx, raw_trace(theta))
+    return _Pipeline(ctx, merge(ctx, raw_trace(theta)))
 
 
 def reidemeister_trace(beta: BraidWord, m: int, bounds: SearchBounds = SearchBounds()) -> MergedTrace:
     """Merged trace of the m-th iterate of the Artin action of beta."""
-    return _analyse(_iterate(beta, m), bounds)[1]
+    return _analyse(_iterate(beta, m), bounds).trace

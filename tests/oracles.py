@@ -3,12 +3,13 @@
 Nothing in the package, the command line or the benchmark calls these
 helpers: each one exists to check another function against an independent
 spelling of the same thing (the braid product and inverse, pure braid
-generators, the per-letter tuple fold, the conjugation action on tails, products in Z[F_n] and in
-semidirect coordinates, an endomorphism's powers and abelianized matrix, a
-general free-group conjugator, the section of a base braid).  They were
-written against the package's conventions and are kept here unchanged, so
-a change to the package that moves a convention fails the tests that
-compare against them.
+generators, the per-letter tuple fold, the conjugation action on tails,
+products in Z[F_n] and in semidirect coordinates, an endomorphism's powers
+and abelianized matrix, a general free-group conjugator and a word's
+inverse, the section of a base braid, is_forced trying every class).  They
+were written against the package's conventions and are kept here
+unchanged, so a change to the package that moves a convention fails the
+tests that compare against them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ import functools
 import json
 
 from braidforce.augbraid import AugBraid, _phi_letters
-from braidforce.braid import DEFAULT_MAX_LETTERS, BraidWord, WordTooLongError, _pure_letters, artin, braid_eq, perm
+from braidforce.braid import (
+    DEFAULT_MAX_LETTERS,
+    BraidWord,
+    WordTooLongError,
+    _acts_as,
+    _pure_letters,
+    artin,
+    braid_eq,
+    perm,
+)
 from braidforce.forcing import ForcingReport, report_json
 from braidforce.foxcalc import GroupRingElem
 from braidforce.freegroup import (
@@ -29,8 +39,8 @@ from braidforce.freegroup import (
     apply,
     concat,
     format_word,
-    invert,
 )
+from braidforce.nielsen import Decision, SearchBounds, _analyse, _iterate, is_degenerate, twisted_conj
 
 # ---------------------------------------------------------------------------
 # braid
@@ -100,6 +110,11 @@ def artin_apply(b: BraidWord, w: FreeWord, max_letters: int = DEFAULT_MAX_LETTER
 
 # ---------------------------------------------------------------------------
 # freegroup
+
+
+def invert(w: FreeWord) -> FreeWord:
+    """The inverse word: w's letters reversed, each inverted."""
+    return _word(w.rank, tuple(-k for k in reversed(w.letters)))
 
 
 def gen(rank: int, k: int) -> FreeWord:
@@ -241,3 +256,45 @@ def aug_eq(a1: AugBraid, a2: AugBraid) -> bool:
 def report_json_text(report: ForcingReport) -> str:
     """Stable serialization used for byte-for-byte determinism checks."""
     return json.dumps(report_json(report), indent=2)
+
+
+def is_forced_by_every_class(
+    candidate: AugBraid,
+    beta: BraidWord,
+    m: int,
+    bounds: SearchBounds = SearchBounds(),
+) -> Decision:
+    """forcing.is_forced as one twisted_conj per summand, in summand order.
+
+    Every class is tried, whatever its abelian invariant, and its unresolved
+    words and degeneracy are worked out afresh on each yes.
+    """
+    if candidate.punctures != beta.strands:
+        raise ValueError("puncture count mismatch")
+    theta = _iterate(beta, m)
+    if candidate.base.letters != beta.letters * m and not _acts_as(candidate.base, theta):
+        return Decision("no", None, ("base_mismatch",))
+    pipeline = _analyse(theta, bounds)
+    ctx, trace = pipeline.ctx, pipeline.trace
+    saw_unknown = bool(trace.unresolved)
+    for s in trace.summands:
+        d = twisted_conj(ctx, s.representative, candidate.tail)
+        if d.is_unknown:
+            saw_unknown = True
+            continue
+        if d.is_no:
+            continue
+        # the first yes ends the call, so the unresolved words are hashed
+        # at most once, and only on a yes
+        fuzzy = {w for pair in trace.unresolved for w in pair}
+        if any(member in fuzzy for member in s.members):
+            return Decision("unknown", None, ("unresolved_class", s.representative))
+        deg = is_degenerate(ctx, s.representative)
+        if deg.is_yes:
+            return Decision("no", None, ("degenerate_class", s.representative))
+        if deg.is_unknown:
+            return Decision("unknown", None, ("degeneracy_unknown", s.representative))
+        return Decision("yes", d.witness, ("class", s.representative))
+    if saw_unknown:
+        return Decision("unknown", None, ("radius", bounds.radius))
+    return Decision("no", None, ("inessential",))

@@ -38,7 +38,7 @@ from braidforce import (
     to_word,
     twisted_conj,
 )
-from braidforce.freegroup import apply, concat, invert, reduce
+from braidforce.freegroup import apply, concat, reduce
 from braidforce.foxcalc import fox
 from braidforce.nielsen import is_degenerate
 from oracles import (
@@ -48,6 +48,7 @@ from oracles import (
     braid_mul,
     gen,
     gr_right_mul,
+    invert,
     phi_word,
     pure_gen,
     report_json_text,

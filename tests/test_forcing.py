@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidforce import (
     AugBraid,
@@ -30,10 +31,14 @@ from braidforce import (
     to_word,
 )
 from braidforce.braid import _fold
+from braidforce import forcing
 from braidforce.forcing import report_json, report_text
+from braidforce.freegroup import apply, concat, reduce
 from braidforce import nielsen
+from braidforce.nielsen import is_degenerate, twisted_conj
 from braidforce.cli import main
-from oracles import aug_eq, braid_invert, braid_mul, pure_gen, report_json_text
+import oracles
+from oracles import aug_eq, braid_invert, braid_mul, gen, invert, is_forced_by_every_class, pure_gen, report_json_text
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 IOTA5 = BraidWord(6, BETA5.letters)
@@ -266,6 +271,114 @@ def test_is_forced_folds_only_a_base_other_than_the_word_beta_m(calls):
     d = is_forced(AugBraid(power(beta, m + 1), tail), beta, m, bounds)
     assert d.certificate == ("base_mismatch",)
     assert calls == {"_fold": 1}
+
+
+@st.composite
+def forcing_queries(draw):
+    """An is_forced query on 2-5 strands, m 1-3, radius 0-3.
+
+    The tail is a class representative twisted by a word of up to 2
+    letters, or a random word; the base is the word beta^m or, mismatched,
+    beta^(m+1).
+    """
+    n = draw(st.integers(2, 5))
+    pool = [k for i in range(1, n) for k in (i, -i)]
+    beta = BraidWord(n, tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
+    m = draw(st.integers(1, 3))
+    bounds = SearchBounds(radius=draw(st.integers(0, 3)))
+    letters = st.sampled_from([k for i in range(1, n + 1) for k in (i, -i)])
+    trace = reidemeister_trace(beta, m, bounds)
+    kind = draw(st.sampled_from(["class", "random", "mismatched base"]))
+    if kind == "class" and trace.summands:
+        rep = draw(st.sampled_from(trace.summands)).representative
+        a = reduce(n, draw(st.lists(letters, max_size=2)))
+        tail = concat(apply(nielsen._iterate(beta, m), a), rep, invert(a))
+    else:
+        tail = reduce(n, draw(st.lists(letters, max_size=6)))
+    base = power(beta, m + 1 if kind == "mismatched base" else m)
+    return AugBraid(base, tail), beta, m, bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(forcing_queries())
+def test_is_forced_decides_as_trying_every_class(query):
+    # the tail's bucket, the kept flags and the kept degeneracy give the
+    # Decision of one twisted_conj per summand, on a first query and a
+    # repeat; a mismatched base past the cap is refused by both
+    expected = _refusal_or(lambda: is_forced_by_every_class(*query))
+    assert _refusal_or(lambda: is_forced(*query)) == expected
+    assert _refusal_or(lambda: is_forced(*query)) == expected
+
+
+@pytest.mark.parametrize(
+    "beta, m, radius, classes, shape",
+    [
+        pytest.param(parse_braid("s1 s2^-1", 3), 5, 1, 123, "class", id="123-classes"),
+        pytest.param(parse_braid("s2 s1^-1 s1^-1", 3), 2, 3, 14, "degenerate_class", id="degenerate-classes"),
+        pytest.param(parse_braid("s1 s2^-1", 3), 3, 3, 18, "unresolved_class", id="unresolved-pairs"),
+    ],
+)
+def test_is_forced_decides_as_trying_every_class_on_named_traces(beta, m, radius, classes, shape, monkeypatch):
+    # every representative, its twisted conjugates by x1 and x2^-1, and
+    # random words; each named trace gives its named kind of verdict, and
+    # is_forced searches the classes the oracle searches, in the same
+    # order, less those the abelian invariant rules out
+    searched = {}
+    for module in (forcing, oracles):
+
+        def recording(ctx, u, v, _log=searched.setdefault(module.__name__, [])):
+            d = twisted_conj(ctx, u, v)
+            _log.append((u, d))
+            return d
+
+        monkeypatch.setattr(module, "twisted_conj", recording)
+    bounds = SearchBounds(radius=radius)
+    trace = reidemeister_trace(beta, m, bounds)
+    assert len(trace.summands) == classes
+    theta = nielsen._iterate(beta, m)
+    n = beta.strands
+    rng = random.Random(35)
+    reps = [s.representative for s in trace.summands]
+    tails = reps + [concat(apply(theta, x), rep, invert(x)) for rep in reps for x in (gen(n, 1), gen(n, -2))]
+    tails += [reduce(n, [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 6))]) for _ in range(40)]
+    seen = Counter()
+    for tail in tails:
+        query = (AugBraid(power(beta, m), tail), beta, m, bounds)
+        expected = is_forced_by_every_class(*query)
+        assert is_forced(*query) == expected
+        assert is_forced(*query) == expected
+        seen[expected.certificate[0]] += 1
+        in_bucket = [(u, d) for u, d in searched["oracles"] if d.certificate[:1] != ("abelian",)]
+        assert searched["braidforce.forcing"] == in_bucket * 2
+        searched["oracles"].clear()
+        searched["braidforce.forcing"].clear()
+    assert seen[shape] > 0
+
+
+@pytest.fixture
+def decide_calls(monkeypatch):
+    """Calls of twisted_conj and is_degenerate, counted by _count_calls."""
+    return _count_calls(monkeypatch, (twisted_conj, is_degenerate))
+
+
+def test_is_forced_decides_each_class_once_and_searches_only_the_tails_bucket(decide_calls):
+    # the worked example's three classes lie in three buckets, so one
+    # twisted_conj answers each query; a class's degeneracy is decided on
+    # its first yes and kept, for later queries and for forced_set
+    yes = AugBraid(BETA5, parse_word("x1", 5))
+    first = is_forced(yes, BETA5, 1)
+    assert first.certificate == ("class", parse_word("x1", 5))
+    assert decide_calls == {"twisted_conj": 1, "is_degenerate": 1}
+    decide_calls.clear()
+    assert is_forced(yes, BETA5, 1) == first
+    assert decide_calls == {"twisted_conj": 1}
+    decide_calls.clear()
+    # x1 x1's invariant is no class's, so no class is searched
+    assert is_forced(AugBraid(BETA5, parse_word("x1 x1", 5)), BETA5, 1).certificate == ("inessential",)
+    assert decide_calls == {}
+    # forced_set decides only the two classes no query has
+    forced_set(BETA5, 1)
+    assert decide_calls == {"is_degenerate": 2}
 
 
 _CACHE_ANCHORS = [
@@ -505,8 +618,8 @@ def test_cli_twisted_conj_unknown_exit(capsys):
 
 
 def test_cli_reports_failed_verification(monkeypatch, capsys):
-    # a broken inverse makes the witness x5 fail its check by substitution
-    monkeypatch.setattr(nielsen, "invert", lambda w: w)
+    # a walk that hands back x1 for the witness x5 fails its check by substitution
+    monkeypatch.setattr(nielsen, "_witness", lambda ctx, u, v: (1,))
     argv = ["twisted-conj", "-n", "5", "--braid", "s1 s2 s3^-1 s4^-1", "--word", "e", "--word", "x5^-1 x4"]
     assert main(argv) == 2
     captured = capsys.readouterr()

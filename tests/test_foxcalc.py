@@ -11,11 +11,11 @@ from braidforce import (
     parse_word,
     raw_trace,
 )
-from braidforce.freegroup import concat, invert, reduce
+from braidforce.freegroup import concat, reduce
 from braidforce import foxcalc
 from braidforce.foxcalc import fox
 from braidforce.freegroup import word_sort_key
-from oracles import augmentation, format_ring, gen, gr_left_mul, gr_right_mul
+from oracles import augmentation, format_ring, gen, gr_left_mul, gr_right_mul, invert
 
 
 def rand_word(rng, rank=3, max_len=10):

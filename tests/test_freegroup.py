@@ -15,14 +15,13 @@ from braidforce.freegroup import (
     apply,
     compose,
     concat,
-    invert,
     reduce,
     word_sort_key,
 )
 from braidforce.freegroup import _conjugator_of, _reduce_letters
 from braidforce.foxcalc import fox
 from braidforce.braid import BraidWord, artin
-from oracles import conjugator, cyclic_reduce, endo_matrix, endo_power_from_identity, gen
+from oracles import conjugator, cyclic_reduce, endo_matrix, endo_power_from_identity, gen, invert
 
 RANK = 4
 

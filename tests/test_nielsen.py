@@ -36,7 +36,6 @@ from braidforce.freegroup import (
     abelianize,
     apply,
     concat,
-    invert,
     reduce,
     word_sort_key,
 )
@@ -45,7 +44,7 @@ from braidforce.braid import _SEP, _fold, _generators, _spell
 from braidforce.nielsen import abelian_invariant, canonical_rep, is_degenerate
 from braidforce.freegroup import _letters_key, _reduce_letters
 from braidforce.nielsen import _cancels, _floor, _format_pairs, _orbit, _splice
-from oracles import augmentation, conjugator, endo_matrix, gen
+from oracles import augmentation, conjugator, endo_matrix, gen, invert
 
 BETA5 = parse_braid("s1 s2 s3^-1 s4^-1", 5)
 
@@ -679,7 +678,10 @@ def test_canonical_rep_is_least_orbit_word_at_radius_3(ctx, data):
 def test_canonical_rep_fixed_cases_match_brute_force(braid, n, m, w):
     ctx = ctx_for(parse_braid(braid, n), m=m, radius=3)
     word = parse_word(w, n)
-    assert canonical_rep(ctx, word) == _orbit_min(ctx, word)
+    rep = canonical_rep(ctx, word)
+    assert rep == _orbit_min(ctx, word)
+    # a word that is already least comes back as itself, its kept text with it
+    assert (rep is word) == (rep == word)
 
 
 @st.composite

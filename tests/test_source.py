@@ -123,6 +123,19 @@ def test_analyse_is_the_one_cross_call_memo_in_nielsen():
     assert found == {"_analyse"}
 
 
+def test_each_class_degeneracy_is_decided_in_one_place():
+    # forced_set and is_forced read a class's degeneracy from its cached
+    # pipeline (nielsen._Pipeline.degeneracy, which keeps it), so no package
+    # code names is_degenerate elsewhere, and a class is decided once per
+    # pipeline
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and node.id == "is_degenerate":
+                found.add((path.name, scope))
+    assert found == {("nielsen.py", "_Pipeline.degeneracy")}
+
+
 def test_no_package_code_calls_id():
     # a memo keyed by id() is only sound while every keyed object stays
     # alive; words keep their own text instead, and other memos key by value
